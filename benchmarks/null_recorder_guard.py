@@ -69,6 +69,13 @@ tracing-off sweep must stay within the tracing threshold (default 2%)
 of the ledger-off baseline (instrumented call sites pay one attribute
 check and share one no-op span), and the off sweep must buffer no spans.
 
+A tenth check guards the C section walk (:mod:`repro.sim.fast`), on the
+third check's counted sweep: with the C kernel loaded, at least 95% of
+its fast-path runs must walk in C (``walker`` in
+:func:`repro.sim.fast.dispatch_stats`).  A
+regression that quietly sent every run back to the Python walker would
+still be bit-identical, just several times slower per run.
+
 Run:  PYTHONPATH=src python benchmarks/null_recorder_guard.py
 """
 
@@ -87,7 +94,8 @@ from repro.obs.analyze import COLLECTOR
 from repro.obs.recorder import NullRecorder
 from repro.obs.telemetry import ENGINE_BATCH, LEDGER
 from repro.obs.tracing import TRACER
-from repro.sim.fast import fast_stats, reset_fast_stats
+from repro.core.cext import cext_status, walk_engine
+from repro.sim.fast import dispatch_stats, fast_stats, reset_fast_stats
 from repro.sim.sections import (
     cache_stats, clear_cache, reset_cache_stats,
 )
@@ -199,6 +207,19 @@ def main(argv=None) -> int:
         print("FAIL: fast path no longer carries the sweep")
         return 1
     print("OK: section maps cached, fast path engaged")
+
+    # C-walk guard (the tenth check, on the same counted sweep): with the
+    # kernel loaded, the fast path's runs walk in C; only a power-cycle
+    # cap or reach-buffer rerun takes the Python walker.
+    if walk_engine() is None:
+        print(f"SKIP: C walk check ({cext_status()})")
+    else:
+        walkers = dispatch_stats()["walker"]
+        print(f"fast-path walkers: {walkers}")
+        if walkers["c"] < 0.95 * runs["fast"]:
+            print("FAIL: fast-path runs no longer walk in C")
+            return 1
+        print("OK: fast-path runs walk in C")
 
     # Telemetry guard: the run ledger records once per run, at the
     # dispatch point; enabling it must not slow the sweep beyond the

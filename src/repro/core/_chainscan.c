@@ -561,38 +561,82 @@ done:
 }
 
 /* ------------------------------------------------------------------ *
- * Batched schedule replay: one schedule row's section walk.
+ * Section-walk replay: one power schedule over a SectionMap.
  *
- * A C port of the section walk in ``repro.sim.fast.FastReplaySimulator``
- * for the batch engine (``repro.sim.batch``): one call replays one
- * schedule row over the memoized section tables until it finishes or
- * needs Python — an unmaterialized section, more schedule on-times, a
- * ``watchdog_cut_safe`` verdict — and is then re-entered with the same
- * state arrays once Python has supplied what was missing.  Resumability
- * is by construction: every return to Python happens either before any
- * state mutation of the current section attempt (BW_NEED_SECTION,
- * BW_NEED_CUT — the re-entered walk re-derives the identical decision
- * point) or with the attempt fully accounted and only the restart
- * sequence pending (BW_NEED_ONTIMES, marked by PH_RESTART, where each
- * restart iteration is itself atomic around its single schedule draw).
- * BW_FALLBACK rows (power-cycle budget exhausted, an unsafe watchdog
- * cut, reach-buffer overflow) are rerun whole by the scalar engines —
- * schedules re-seed, so the rerun is exact.
+ * A C port of the section walk in ``repro.sim.fast.FastReplaySimulator``,
+ * serving every scalar fast-path run and every batched row
+ * (``repro.sim.batch``).  One call replays one schedule until it
+ * finishes or needs Python — a section the flat tables do not hold,
+ * more schedule on-times, a ``watchdog_cut_safe`` verdict — and is then
+ * re-entered with the same state array once Python has supplied what
+ * was missing.  Resumability is by construction: every return to
+ * Python happens either before any state mutation of the current
+ * section attempt (BW_NEED_SECTION, BW_NEED_CUT — the re-entered walk
+ * re-derives the identical decision point) or with the attempt fully
+ * accounted and only the restart sequence pending (BW_NEED_ONTIMES,
+ * marked by PH_RESTART, where each restart iteration is itself atomic
+ * around its single schedule draw).  BW_FALLBACK runs (power-cycle
+ * budget exhausted, reach-buffer overflow) are re-walked whole by the
+ * Python walker — schedules re-seed, so the rerun is exact and raises
+ * the identical SimulationError.
+ *
+ * Sections are read in place from the SectionMap's flat canonical-chain
+ * arrays (sorted keys, ends, cause ids, step offsets, steps — the
+ * family scan's output) by binary search with a next-row hint: the
+ * canonical chain is walked in key order, so a hit is almost always the
+ * current row (a retry after power loss) or the next one.  A key the
+ * tables do not hold (an off-chain resume after a watchdog cut, or any
+ * key of a map without flat tables) is served once by Python into the
+ * side table, which the caller keeps for as long as it walks the same
+ * map — so the rows of a batch share it.  No per-map table is built:
+ * the walk costs O(1) memory beyond the map itself.
  */
 
 /* Stop codes. */
 #define BW_DONE 0
-#define BW_NEED_SECTION 1   /* out[0] = (start<<2)|variant */
+#define BW_NEED_SECTION 1   /* st[ST_OUT] = (start<<2)|variant */
 #define BW_NEED_ONTIMES 2
-#define BW_NEED_CUT 3       /* out[0..3] = start, variant, cut, furthest */
+#define BW_NEED_CUT 3       /* st[ST_OUT..+3] = start, variant, cut, furthest */
 #define BW_FALLBACK 4
 
-/* Persistent int64 state slots (one stripe per row). */
+/* Parameter block (int64 slots; pointers stored as addresses). */
+#define W_GCUM 0            /* const int64_t[n+1] cycle prefix sums */
+#define W_N 1
+#define W_KEYS 2            /* const int64_t[nkeys] sorted section keys */
+#define W_NKEYS 3
+#define W_ENDS 4            /* const int32_t[nkeys] boundary indices */
+#define W_CAUSES 5          /* const uint8_t[nkeys] CAUSE_* ids */
+#define W_SOFF 6            /* const int64_t[nkeys+1] step offsets */
+#define W_STEPS 7           /* const int32_t[] wbb growth steps */
+#define W_ONTIMES 8         /* const int64_t[n_ontimes] schedule draws */
+#define W_NONTIMES 9
+#define W_BASE_CK 10
+#define W_FLUSH_BASE 11
+#define W_PER_ENTRY 12
+#define W_RCOST 13
+#define W_PERF_LOAD 14
+#define W_PROG_DEFAULT 15
+#define W_PROG_ADAPTIVE 16
+#define W_IG_FW 17
+#define W_MAX_PC 18
+#define W_REACH 19          /* int64_t[2*reach_cap] (reach, start) pairs */
+#define W_REACH_CAP 20
+/* Side table: sections Python served on request, sorted by key. */
+#define W_SKEYS 21          /* const int64_t[nside] sorted section keys */
+#define W_NSIDE 22
+#define W_SENDS 23          /* const int32_t[nside] */
+#define W_SCAUSES 24        /* const uint8_t[nside] CAUSE_* ids */
+#define W_SOFFS 25          /* const int64_t[nside] offsets into W_SSTEPS */
+#define W_SNSTEPS 26        /* const int32_t[nside] step counts */
+#define W_SSTEPS 27         /* const int32_t[] wbb growth steps */
+#define BW_NPARAMS 28
+
+/* Persistent int64 state slots (one array per walk). */
 #define ST_I 0
 #define ST_FURTHEST 1
 #define ST_ONLEFT 2
 #define ST_FORCED_DONE 3
-#define ST_POS 4            /* next schedule column */
+#define ST_POS 4            /* next schedule draw */
 #define ST_PROG_NV 5
 #define ST_PROG_REM 6
 #define ST_USEFUL 7
@@ -607,14 +651,22 @@ done:
 #define ST_WBB 16
 #define ST_NREACH 17
 #define ST_PHASE 18
-#define BW_NSLOTS 19
+#define ST_DIRECT 19
+#define ST_PROGRESS 20
+#define ST_PROG_NO_CKPT 21
+#define ST_PROG_EN 22
+#define ST_ROW 23           /* table row of the last lookup (the hint) */
+#define ST_CUT_OK 24        /* 1: the pending cut was judged safe */
+#define ST_OUT 25           /* 4 slots: stop-code details */
+#define ST_NORDER 29
+#define ST_COUNTS 30        /* BW_NCAUSES per-cause checkpoint counts */
+#define ST_ORDER 42         /* cause ids in first-checkpoint order */
+#define BW_NSLOTS 54
 
-/* Persistent flag slots. */
-#define FL_DIRECT 0
-#define FL_PROGRESS 1
-#define FL_PROG_NO_CKPT 2
-#define FL_PROG_EN 3
-#define BW_NFLAGS 4
+/* Checkpoint causes past the chain-scan CAUSE_* ids. */
+#define CAUSE_PROGRESS_WDT 10
+#define CAUSE_PERF_WDT 11
+#define BW_NCAUSES 12
 
 #define PH_WALK 0
 #define PH_RESTART 1        /* mid power-loss: resume the boot loop */
@@ -628,61 +680,88 @@ done:
 #define BVAR_FORCED_DONE 1
 #define BVAR_DIRECT 2
 
-static int32_t bw_bisect_left64(const int64_t *a, int64_t x,
-                                int32_t lo, int32_t hi)
+/* Boundary kind of each CAUSE_* id (repro.sim.sections._KIND_BY_CAUSE). */
+static const int32_t bw_kind_of[10] = {
+    BSEC_FINAL, BSEC_FORCED, BSEC_OUTPUT, BSEC_TEXT, BSEC_DETECTOR,
+    BSEC_DETECTOR, BSEC_DETECTOR, BSEC_DETECTOR, BSEC_DETECTOR,
+    BSEC_DETECTOR,
+};
+
+static int64_t bw_bisect_left64(const int64_t *a, int64_t x,
+                                int64_t lo, int64_t hi)
 {
     while (lo < hi) {
-        int32_t mid = (int32_t)(((int64_t)lo + hi) >> 1);
+        int64_t mid = (lo + hi) >> 1;
         if (a[mid] < x) lo = mid + 1; else hi = mid;
     }
     return lo;
 }
 
-static int32_t bw_bisect_right64(const int64_t *a, int64_t x,
-                                 int32_t lo, int32_t hi)
+static int64_t bw_bisect_right64(const int64_t *a, int64_t x,
+                                 int64_t lo, int64_t hi)
 {
     while (lo < hi) {
-        int32_t mid = (int32_t)(((int64_t)lo + hi) >> 1);
+        int64_t mid = (lo + hi) >> 1;
         if (a[mid] <= x) lo = mid + 1; else hi = mid;
     }
     return lo;
 }
 
-static int32_t bw_bisect_left32(const int32_t *a, int32_t x,
-                                int32_t lo, int32_t hi)
+static int64_t bw_bisect_left32(const int32_t *a, int64_t x,
+                                int64_t lo, int64_t hi)
 {
     while (lo < hi) {
-        int32_t mid = (int32_t)(((int64_t)lo + hi) >> 1);
+        int64_t mid = (lo + hi) >> 1;
         if (a[mid] < x) lo = mid + 1; else hi = mid;
     }
     return lo;
 }
 
+/* One checkpoint of cause ``c``; the first of each cause also records
+ * its position, so Python rebuilds checkpoints_by_cause in the
+ * insertion order the Python walker produces. */
+static void bw_count(int64_t *st, int64_t c)
+{
+    if (st[ST_COUNTS + c]++ == 0)
+        st[ST_ORDER + st[ST_NORDER]++] = c;
+}
+
+/* Progress-watchdog reset and progress mark at every commit. */
+static void bw_commit(const int64_t *w, int64_t *st)
+{
+    if (w[W_PROG_DEFAULT] > 0) {
+        st[ST_PROG_EN] = 0;
+        st[ST_PROG_NV] = 0;
+        st[ST_PROG_NO_CKPT] = 0;
+    }
+    st[ST_PROGRESS] = 1;
+}
+
 /* The boot loop of ``restart_sequence``: draw on-times until one affords
  * the restart routine.  Atomic per iteration around its draw, so a
  * BW_NEED_ONTIMES return re-enters cleanly at the loop top. */
-static int bw_restart(const int64_t *ontimes, int64_t n_ontimes,
-                      int64_t rcost, int64_t prog_default,
-                      int32_t prog_adaptive, int64_t max_pc,
-                      int64_t *st, uint8_t *fl)
+static int bw_restart(const int64_t *w, int64_t *st)
 {
+    const int64_t *ontimes = (const int64_t *)(intptr_t)w[W_ONTIMES];
+    const int64_t rcost = w[W_RCOST];
+    const int64_t prog_default = w[W_PROG_DEFAULT];
     for (;;) {
         int64_t on;
-        if (st[ST_POS] >= n_ontimes) return BW_NEED_ONTIMES;
+        if (st[ST_POS] >= w[W_NONTIMES]) return BW_NEED_ONTIMES;
         on = ontimes[st[ST_POS]++];
-        fl[FL_PROGRESS] = 0;
-        fl[FL_PROG_EN] = 0;
+        st[ST_PROGRESS] = 0;
+        st[ST_PROG_EN] = 0;
         if (prog_default > 0) {
-            if (!fl[FL_PROG_NO_CKPT]) {
-                fl[FL_PROG_NO_CKPT] = 1;
+            if (!st[ST_PROG_NO_CKPT]) {
+                st[ST_PROG_NO_CKPT] = 1;
             } else {
-                if (st[ST_PROG_NV] > 0 && prog_adaptive) {
+                if (st[ST_PROG_NV] > 0 && w[W_PROG_ADAPTIVE]) {
                     st[ST_PROG_NV] >>= 1;
                     if (st[ST_PROG_NV] < 1) st[ST_PROG_NV] = 1;
                 } else if (st[ST_PROG_NV] == 0) {
                     st[ST_PROG_NV] = prog_default;
                 }
-                fl[FL_PROG_EN] = 1;
+                st[ST_PROG_EN] = 1;
                 st[ST_PROG_REM] = st[ST_PROG_NV];
             }
         }
@@ -694,55 +773,50 @@ static int bw_restart(const int64_t *ontimes, int64_t n_ontimes,
         st[ST_RESTART] += on;
         st[ST_PC] += 1;
         st[ST_WASTED_PC] += 1;
-        if (st[ST_PC] > max_pc) return BW_FALLBACK;
+        if (st[ST_PC] > w[W_MAX_PC]) return BW_FALLBACK;
     }
 }
 
 /* ``power_loss(at_i)`` + the restart: record the failed cycle's reach,
  * tick the power-cycle counters, then boot.  Enters PH_RESTART before
- * the boot loop so a BW_NEED_ONTIMES resume skips straight back in. */
-static int bw_power_loss(int64_t at_i,
-                         const int64_t *ontimes, int64_t n_ontimes,
-                         int64_t rcost, int64_t prog_default,
-                         int32_t prog_adaptive, int64_t max_pc,
-                         int32_t ig_fw,
-                         int64_t *reach_buf, int32_t reach_cap,
-                         int64_t *st, uint8_t *fl)
+ * the boot loop so a BW_NEED_ONTIMES resume skips straight back in.
+ * Every caller has already cleared ST_DIRECT where the Python walker
+ * does. */
+static int bw_power_loss(int64_t at_i, const int64_t *w, int64_t *st)
 {
     int64_t i = st[ST_I];
-    if (ig_fw && at_i > i) {
+    if (w[W_IG_FW] && at_i > i) {
+        int64_t *reach = (int64_t *)(intptr_t)w[W_REACH];
         int64_t nr = st[ST_NREACH];
-        while (nr > 0 && reach_buf[2 * (nr - 1) + 1] == i
-               && reach_buf[2 * (nr - 1)] <= at_i)
+        while (nr > 0 && reach[2 * (nr - 1) + 1] == i
+               && reach[2 * (nr - 1)] <= at_i)
             nr--;
-        if (nr >= reach_cap) return BW_FALLBACK;
-        reach_buf[2 * nr] = at_i;
-        reach_buf[2 * nr + 1] = i;
+        if (nr >= w[W_REACH_CAP]) return BW_FALLBACK;
+        reach[2 * nr] = at_i;
+        reach[2 * nr + 1] = i;
         nr++;
         if (nr > 64) {
-            int64_t w = 0, k;
+            int64_t kept = 0, k;
             for (k = 0; k < nr; k++) {
-                if (reach_buf[2 * k] > i) {
-                    reach_buf[2 * w] = reach_buf[2 * k];
-                    reach_buf[2 * w + 1] = reach_buf[2 * k + 1];
-                    w++;
+                if (reach[2 * k] > i) {
+                    reach[2 * kept] = reach[2 * k];
+                    reach[2 * kept + 1] = reach[2 * k + 1];
+                    kept++;
                 }
             }
-            nr = w;
+            nr = kept;
         }
         st[ST_NREACH] = nr;
     }
-    if (!fl[FL_PROGRESS]) st[ST_WASTED_PC] += 1;
+    if (!st[ST_PROGRESS]) st[ST_WASTED_PC] += 1;
     st[ST_PC] += 1;
-    if (st[ST_PC] > max_pc) return BW_FALLBACK;
+    if (st[ST_PC] > w[W_MAX_PC]) return BW_FALLBACK;
     st[ST_PHASE] = PH_RESTART;
-    return bw_restart(ontimes, n_ontimes, rcost, prog_default,
-                      prog_adaptive, max_pc, st, fl);
+    return bw_restart(w, st);
 }
 
 /* The useful/re-executed split of an executed span [st[ST_I], m). */
-static void bw_account(int64_t m, const int64_t *gcum,
-                       int64_t *st, uint8_t *fl)
+static void bw_account(int64_t m, const int64_t *gcum, int64_t *st)
 {
     int64_t s = st[ST_I], fu = st[ST_FURTHEST];
     if (m <= fu) {
@@ -750,101 +824,122 @@ static void bw_account(int64_t m, const int64_t *gcum,
     } else if (s >= fu) {
         st[ST_USEFUL] += gcum[m] - gcum[s];
         st[ST_FURTHEST] = m;
-        fl[FL_PROGRESS] = 1;
+        st[ST_PROGRESS] = 1;
     } else {
         st[ST_REEXEC] += gcum[fu] - gcum[s];
         st[ST_USEFUL] += gcum[m] - gcum[fu];
         st[ST_FURTHEST] = m;
-        fl[FL_PROGRESS] = 1;
+        st[ST_PROGRESS] = 1;
     }
 }
 
-int64_t batch_walk(
-    const int64_t *gcum,       /* [n+1] trace cycle prefix sums */
-    const int64_t *acc,        /* [n] per-access cycles */
-    int32_t n,
-    const uint8_t *forced_mask,/* [n+1] forced-checkpoint membership */
-    const int32_t *slot_of,    /* [(n+1)*4] key -> slot, -1 unknown */
-    const int32_t *sec_end,    /* per slot: end, cause id, kind, nsteps */
-    const int32_t *sec_cause,
-    const int32_t *sec_kind,
-    const int32_t *sec_nsteps,
-    const int64_t *steps_off,  /* per slot: offset into steps_val */
-    const int32_t *steps_val,  /* flattened wbb growth steps */
-    const int64_t *ontimes,    /* this row's schedule on-times */
-    int64_t n_ontimes,
-    int64_t base_ck, int64_t flush_base, int64_t per_entry, int64_t rcost,
-    int64_t perf_load, int64_t prog_default,
-    int32_t prog_adaptive, int32_t ig_fw,
-    int64_t max_pc,
-    int32_t cause_prog, int32_t cause_perf, int32_t cause_output,
-    int32_t cut_ok,            /* 1: first cut check this call is safe */
-    int64_t *st,               /* [BW_NSLOTS] persistent row state */
-    uint8_t *fl,               /* [BW_NFLAGS] persistent row flags */
-    int64_t *counts,           /* per-cause checkpoint counters */
-    int64_t *reach_buf,        /* [2*reach_cap] (reach, start) pairs */
-    int32_t reach_cap,
-    int64_t *out)              /* stop-code details */
+/* Resolve ``key`` to (end, cause, steps, nsteps): the flat tables first
+ * (hint row, the next row, then binary search), then the side table.
+ * Returns 0 when neither holds the key. */
+static int bw_lookup(const int64_t *w, int64_t *st, int64_t key,
+                     int32_t *end, int32_t *cause,
+                     const int32_t **steps, int64_t *nsteps)
 {
+    const int64_t *keys = (const int64_t *)(intptr_t)w[W_KEYS];
+    const int64_t nkeys = w[W_NKEYS];
+    int64_t row = st[ST_ROW];
+    if (row >= nkeys || keys[row] != key) {
+        if (row + 1 < nkeys && keys[row + 1] == key) {
+            row += 1;
+        } else {
+            row = nkeys ? bw_bisect_left64(keys, key, 0, nkeys) : 0;
+            if (row >= nkeys || keys[row] != key) row = -1;
+        }
+    }
+    if (row >= 0) {
+        const int64_t *soff = (const int64_t *)(intptr_t)w[W_SOFF];
+        st[ST_ROW] = row;
+        *end = ((const int32_t *)(intptr_t)w[W_ENDS])[row];
+        *cause = ((const uint8_t *)(intptr_t)w[W_CAUSES])[row];
+        *steps = (const int32_t *)(intptr_t)w[W_STEPS] + soff[row];
+        *nsteps = soff[row + 1] - soff[row];
+        return 1;
+    }
+    {
+        const int64_t *skeys = (const int64_t *)(intptr_t)w[W_SKEYS];
+        const int64_t nside = w[W_NSIDE];
+        row = nside ? bw_bisect_left64(skeys, key, 0, nside) : 0;
+        if (row < nside && skeys[row] == key) {
+            *end = ((const int32_t *)(intptr_t)w[W_SENDS])[row];
+            *cause = ((const uint8_t *)(intptr_t)w[W_SCAUSES])[row];
+            *steps = (const int32_t *)(intptr_t)w[W_SSTEPS]
+                + ((const int64_t *)(intptr_t)w[W_SOFFS])[row];
+            *nsteps = ((const int32_t *)(intptr_t)w[W_SNSTEPS])[row];
+            return 1;
+        }
+    }
+    return 0;
+}
+
+int64_t batch_walk(const int64_t *w, int64_t *st)
+{
+    const int64_t *gcum = (const int64_t *)(intptr_t)w[W_GCUM];
+    const int64_t base_ck = w[W_BASE_CK];
+    const int64_t flush_base = w[W_FLUSH_BASE];
+    const int64_t per_entry = w[W_PER_ENTRY];
+    const int64_t perf_load = w[W_PERF_LOAD];
     int rc;
     if (st[ST_PHASE] == PH_RESTART) {
-        rc = bw_restart(ontimes, n_ontimes, rcost, prog_default,
-                        prog_adaptive, max_pc, st, fl);
+        rc = bw_restart(w, st);
         if (rc) return rc;
         st[ST_PHASE] = PH_WALK;
     }
     for (;;) {
         int64_t s = st[ST_I];
         int64_t variant = 0;
-        int64_t key, base, on_left;
-        int32_t slot, end, kind;
-        int32_t fire_m = -1, fire_prog = 0, u;
-        if (fl[FL_DIRECT]) {
+        int64_t key, base, on_left, nsteps, u;
+        int64_t fire_m = -1;
+        int32_t end, cause, kind, fire_prog = 0;
+        const int32_t *steps;
+        /* forced_done is only ever set to the end of a compiler-cause
+         * section, which is a forced index by construction — so the
+         * Python walker's ``s in forced`` test always holds here. */
+        if (st[ST_DIRECT]) {
             variant = BVAR_DIRECT;
-        } else if (st[ST_FORCED_DONE] == s && forced_mask[s]) {
+        } else if (st[ST_FORCED_DONE] == s) {
             variant = BVAR_FORCED_DONE;
         }
         key = (s << 2) | variant;
-        slot = slot_of[key];
-        if (slot < 0) {
-            out[0] = key;
+        if (!bw_lookup(w, st, key, &end, &cause, &steps, &nsteps)) {
+            st[ST_OUT] = key;
             return BW_NEED_SECTION;
         }
-        end = sec_end[slot];
-        kind = sec_kind[slot];
+        kind = bw_kind_of[cause];
         base = gcum[s];
         on_left = st[ST_ONLEFT];
 
-        if (fl[FL_PROG_EN]) {
-            int32_t j = bw_bisect_left64(gcum, base + st[ST_PROG_REM],
-                                         (int32_t)s + 1, end + 1);
+        if (st[ST_PROG_EN]) {
+            int64_t j = bw_bisect_left64(gcum, base + st[ST_PROG_REM],
+                                         s + 1, (int64_t)end + 1);
             if (j <= end) {
                 fire_m = j - 1;
                 fire_prog = 1;
             }
         }
         if (perf_load > 0) {
-            int32_t j = bw_bisect_left64(gcum, base + perf_load,
-                                         (int32_t)s + 1, end + 1);
+            int64_t j = bw_bisect_left64(gcum, base + perf_load,
+                                         s + 1, (int64_t)end + 1);
             if (j <= end && (fire_m < 0 || j - 1 < fire_m)) {
                 fire_m = j - 1;
                 fire_prog = 0;
             }
         }
 
-        u = bw_bisect_right64(gcum, base + on_left,
-                              (int32_t)s + 1, end + 1);
+        u = bw_bisect_right64(gcum, base + on_left, s + 1, (int64_t)end + 1);
         if (u <= end && (fire_m < 0 || u - 1 <= fire_m)) {
             /* Power fails mid-span. */
             int64_t mf = u - 1;
-            int32_t was_direct = fl[FL_DIRECT];
-            bw_account(mf, gcum, st, fl);
+            int64_t was_direct = st[ST_DIRECT];
+            bw_account(mf, gcum, st);
             st[ST_WASTED] += on_left - (gcum[mf] - base);
             if (!(was_direct && mf == s)) st[ST_FORCED_DONE] = -1;
-            fl[FL_DIRECT] = 0;
-            rc = bw_power_loss(mf, ontimes, n_ontimes, rcost,
-                               prog_default, prog_adaptive, max_pc,
-                               ig_fw, reach_buf, reach_cap, st, fl);
+            st[ST_DIRECT] = 0;
+            rc = bw_power_loss(mf, w, st);
             if (rc) return rc;
             st[ST_PHASE] = PH_WALK;
             continue;
@@ -854,31 +949,26 @@ int64_t batch_walk(
             /* A watchdog fires after access fire_m. */
             int64_t m1 = fire_m + 1;
             int64_t span = gcum[m1] - base;
-            int64_t off = steps_off[slot];
-            int32_t nwbb = bw_bisect_left32(
-                steps_val + off, (int32_t)m1, 0, sec_nsteps[slot]) ;
-            int64_t c = base_ck
-                + (nwbb ? flush_base + nwbb * per_entry : 0);
-            if (on_left - span >= c && ig_fw && st[ST_FURTHEST] > m1) {
+            int64_t nwbb = bw_bisect_left32(steps, m1, 0, nsteps);
+            int64_t c = base_ck + (nwbb ? flush_base + nwbb * per_entry : 0);
+            if (on_left - span >= c && w[W_IG_FW] && st[ST_FURTHEST] > m1) {
                 /* The cut needs watchdog_cut_safe — decided in Python,
                  * before any mutation so the resume re-derives it. */
-                if (cut_ok != 1) {
-                    out[0] = s;
-                    out[1] = variant;
-                    out[2] = m1;
-                    out[3] = st[ST_FURTHEST];
+                if (st[ST_CUT_OK] != 1) {
+                    st[ST_OUT] = s;
+                    st[ST_OUT + 1] = variant;
+                    st[ST_OUT + 2] = m1;
+                    st[ST_OUT + 3] = st[ST_FURTHEST];
                     return BW_NEED_CUT;
                 }
-                cut_ok = -1;
+                st[ST_CUT_OK] = 0;
             }
-            bw_account(m1, gcum, st, fl);
+            bw_account(m1, gcum, st);
             st[ST_ONLEFT] = on_left = on_left - span;
             if (on_left < c) {
                 st[ST_WASTED] += on_left;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(m1, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
+                st[ST_DIRECT] = 0;
+                rc = bw_power_loss(m1, w, st);
                 if (rc) return rc;
                 st[ST_PHASE] = PH_WALK;
                 continue;
@@ -886,79 +976,63 @@ int64_t batch_walk(
             st[ST_ONLEFT] -= c;
             st[ST_CKPT] += c;
             st[ST_WBB] += nwbb;
-            counts[fire_prog ? cause_prog : cause_perf] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
+            bw_count(st, fire_prog ? CAUSE_PROGRESS_WDT : CAUSE_PERF_WDT);
+            bw_commit(w, st);
             st[ST_I] = m1;
-            fl[FL_DIRECT] = 0;
+            st[ST_DIRECT] = 0;
             continue;
         }
 
         /* The whole span executes; handle the boundary. */
-        bw_account(end, gcum, st, fl);
+        bw_account(end, gcum, st);
         st[ST_ONLEFT] = on_left = on_left - (gcum[end] - base);
 
         if (kind == BSEC_DETECTOR || kind == BSEC_TEXT
             || kind == BSEC_OUTPUT) {
-            int64_t ce = acc[end];
-            int32_t nwbb;
-            int64_t c;
+            int64_t ce = gcum[end + 1] - gcum[end];  /* boundary access */
+            int64_t c = base_ck
+                + (nsteps ? flush_base + nsteps * per_entry : 0);
             if (on_left < ce) {
+                /* Power fails on the boundary access itself, before the
+                 * checkpoint is attempted. */
                 st[ST_WASTED] += on_left;
                 st[ST_FORCED_DONE] = -1;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
+                st[ST_DIRECT] = 0;
+                rc = bw_power_loss(end, w, st);
                 if (rc) return rc;
                 st[ST_PHASE] = PH_WALK;
                 continue;
             }
-            nwbb = sec_nsteps[slot];
-            c = base_ck + (nwbb ? flush_base + nwbb * per_entry : 0);
             if (on_left < c) {
                 st[ST_WASTED] += on_left;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
+                st[ST_DIRECT] = 0;
+                rc = bw_power_loss(end, w, st);
                 if (rc) return rc;
                 st[ST_PHASE] = PH_WALK;
                 continue;
             }
             st[ST_ONLEFT] = on_left = on_left - c;
             st[ST_CKPT] += c;
-            st[ST_WBB] += nwbb;
-            counts[sec_cause[slot]] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
+            st[ST_WBB] += nsteps;
+            bw_count(st, cause);
+            bw_commit(w, st);
             st[ST_I] = end;
 
             if (kind == BSEC_DETECTOR) {
-                fl[FL_DIRECT] = 0;
+                st[ST_DIRECT] = 0;
                 continue;
             }
             if (kind == BSEC_TEXT) {
-                fl[FL_DIRECT] = 1;
+                st[ST_DIRECT] = 1;
                 continue;
             }
 
             /* BSEC_OUTPUT: the GO phase. */
-            fl[FL_DIRECT] = 0;
+            st[ST_DIRECT] = 0;
             if (on_left < ce) {
                 st[ST_WASTED] += on_left;
                 st[ST_FORCED_DONE] = -1;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
+                rc = bw_power_loss(end, w, st);
                 if (rc) return rc;
                 st[ST_PHASE] = PH_WALK;
                 continue;
@@ -970,91 +1044,51 @@ int64_t batch_walk(
                 st[ST_REEXEC] += ce;
             } else {
                 st[ST_USEFUL] += ce;
-                st[ST_FURTHEST] = end + 1;
-                fl[FL_PROGRESS] = 1;
+                st[ST_FURTHEST] = (int64_t)end + 1;
+                st[ST_PROGRESS] = 1;
             }
             if (on_left < base_ck) {
                 st[ST_WASTED] += on_left;
-                rc = bw_power_loss(end + 1, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
+                rc = bw_power_loss((int64_t)end + 1, w, st);
                 if (rc) return rc;
                 st[ST_PHASE] = PH_WALK;
                 continue;
             }
             st[ST_ONLEFT] -= base_ck;
             st[ST_CKPT] += base_ck;
-            counts[cause_output] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
-            st[ST_I] = end + 1;
+            bw_count(st, CAUSE_OUTPUT);
+            bw_commit(w, st);
+            st[ST_I] = (int64_t)end + 1;
             continue;
         }
 
-        if (kind == BSEC_FORCED) {
-            int32_t nwbb = sec_nsteps[slot];
+        {
+            /* BSEC_FORCED and BSEC_FINAL: a checkpoint at the boundary. */
             int64_t c = base_ck
-                + (nwbb ? flush_base + nwbb * per_entry : 0);
+                + (nsteps ? flush_base + nsteps * per_entry : 0);
             if (on_left < c) {
                 st[ST_WASTED] += on_left;
-                st[ST_FORCED_DONE] = -1;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(end, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
+                if (kind == BSEC_FORCED) st[ST_FORCED_DONE] = -1;
+                st[ST_DIRECT] = 0;
+                rc = bw_power_loss(kind == BSEC_FORCED ? end : w[W_N],
+                                   w, st);
                 if (rc) return rc;
                 st[ST_PHASE] = PH_WALK;
                 continue;
             }
             st[ST_ONLEFT] -= c;
             st[ST_CKPT] += c;
-            st[ST_WBB] += nwbb;
-            counts[sec_cause[slot]] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            fl[FL_PROGRESS] = 1;
+            st[ST_WBB] += nsteps;
+            bw_count(st, cause);
+            bw_commit(w, st);
+            if (kind == BSEC_FINAL)
+                return BW_DONE;
             st[ST_FORCED_DONE] = end;
             st[ST_I] = end;
-            fl[FL_DIRECT] = 0;
-            continue;
-        }
-
-        /* BSEC_FINAL. */
-        {
-            int32_t nwbb = sec_nsteps[slot];
-            int64_t c = base_ck
-                + (nwbb ? flush_base + nwbb * per_entry : 0);
-            if (on_left < c) {
-                st[ST_WASTED] += on_left;
-                fl[FL_DIRECT] = 0;
-                rc = bw_power_loss(n, ontimes, n_ontimes, rcost,
-                                   prog_default, prog_adaptive, max_pc,
-                                   ig_fw, reach_buf, reach_cap, st, fl);
-                if (rc) return rc;
-                st[ST_PHASE] = PH_WALK;
-                continue;
-            }
-            st[ST_ONLEFT] -= c;
-            st[ST_CKPT] += c;
-            st[ST_WBB] += nwbb;
-            counts[sec_cause[slot]] += 1;
-            if (prog_default > 0) {
-                fl[FL_PROG_EN] = 0;
-                st[ST_PROG_NV] = 0;
-                fl[FL_PROG_NO_CKPT] = 0;
-            }
-            return BW_DONE;
+            st[ST_DIRECT] = 0;
         }
     }
 }
-
 
 /* ------------------------------------------------------------------ *
  * Config-family chain scan: one kernel call, K configurations.

@@ -1,35 +1,45 @@
-"""Optional C acceleration for the section-chain scan.
+"""Optional C acceleration: the section-chain scans and the section walk.
 
-The section-memoized fast path (:mod:`repro.sim.sections`) spends almost
-all of its remaining time in one O(n) pass per ``(trace, config)`` key:
-:meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`.  The
-loop is branch-light integer code over flat arrays — exactly the shape a
-C compiler turns into a ~20x faster kernel — so this module compiles the
-line-for-line C port in ``_chainscan.c`` on demand with whatever system C
-compiler is present and drives it through :mod:`ctypes`.
+Two loops carry the fast path's remaining cost, and both are
+branch-light integer code over flat arrays — exactly the shape a C
+compiler turns into a ~20x faster kernel:
 
-This is strictly optional infrastructure:
+* the O(n-accesses) chain scan per ``(trace, config)`` key
+  (:meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`,
+  scalar and config-family batched), which enumerates a
+  :class:`~repro.sim.sections.SectionMap`;
+* the section walk of every fast-path run and batched row
+  (:meth:`repro.sim.fast.FastReplaySimulator.walk_python` is its
+  reference), driven through :class:`WalkEngine` over the SectionMap's
+  flat tables in place.
+
+This module compiles the line-for-line C ports in ``_chainscan.c`` on
+demand with whatever system C compiler is present and drives them
+through :mod:`ctypes`.  It is strictly optional infrastructure:
 
 * no compiler, a failed compile, a failed load, or ``REPRO_CEXT=0`` all
-  degrade silently to the pure-Python generator (the reference
-  implementation, which stays the source of truth for semantics);
+  degrade silently to the pure-Python implementations (the references,
+  which stay the source of truth for semantics);
 * the shared library is cached in the system temp directory keyed by a
   hash of the C source, so each source revision compiles once per
   machine, not once per process;
-* no third-party packages and no ``Python.h`` are involved — the kernel
-  is plain int32 buffers, built from the standard library only.
+* no third-party packages and no ``Python.h`` are involved — the kernels
+  take plain int32/int64 buffers, built from the standard library only.
 
 ``cext_status()`` reports which path a process ended up on (tests and the
-CI equivalence job pin both paths explicitly).
+CI equivalence jobs pin both paths explicitly).
 """
 
 import ctypes
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
+import threading
 from array import array
+from bisect import bisect_left
 from typing import Optional
 
 #: Mirrors the CAUSE_* codes in _chainscan.c.
@@ -162,16 +172,7 @@ def _build() -> Optional[ctypes.CDLL]:
         _status = f"load failed: {exc}"
         return None
     bw.restype = c_i64
-    bw.argtypes = (
-        p, p, c_i32, p,                     # gcum, acc, n, forced_mask
-        p, p, p, p, p, p, p,                # section tables
-        p, c_i64,                           # ontimes, n_ontimes
-        c_i64, c_i64, c_i64, c_i64,         # base_ck, flush, entry, rcost
-        c_i64, c_i64, c_i32, c_i32,         # watchdog loads, flags
-        c_i64,                              # max_pc
-        c_i32, c_i32, c_i32, c_i32,         # cause ids, cut_ok
-        p, p, p, p, c_i32, p,               # st, fl, counts, reaches, out
-    )
+    bw.argtypes = (p, p)                    # parameter block, walk state
     _status = f"loaded ({so_path})"
     return lib
 
@@ -196,6 +197,7 @@ def reset_for_tests() -> None:
     _lib = None
     _tried = False
     _status = "untried"
+    _walk_tls.engine = None
 
 
 def _addr(buf) -> int:
@@ -514,3 +516,180 @@ class FamilyScanEngine:
             # Overflow: double the per-member segments and rescan (the
             # kernel's generation write-back keeps the scratch valid).
             _FAM_PERCAP[0] = percap * 2
+
+
+# --------------------------------------------------------------------- #
+# The section walk (batch_walk).
+# --------------------------------------------------------------------- #
+
+#: Checkpoint causes the walk counts: the chain-scan causes plus the two
+#: watchdogs (mirrors CAUSE_PROGRESS_WDT / CAUSE_PERF_WDT).
+WALK_CAUSE_NAMES = CAUSE_NAMES + ("progress_wdt", "perf_wdt")
+
+#: Mirrors the BW_* stop codes in _chainscan.c.
+BW_DONE = 0
+BW_NEED_SECTION = 1
+BW_NEED_ONTIMES = 2
+BW_NEED_CUT = 3
+BW_FALLBACK = 4
+
+#: Mirrors the W_* parameter-block slots this module writes after setup.
+W_ONTIMES = 8
+W_NONTIMES = 9
+W_SKEYS = 21
+BW_NPARAMS = 28
+
+#: Mirrors the ST_* walk-state slots Python reads or writes.
+ST_USEFUL = 7
+ST_REEXEC = 8
+ST_WASTED = 9
+ST_CKPT = 10
+ST_RESTART = 11
+ST_PC = 12
+ST_WASTED_PC = 13
+ST_OUTPUTS = 14
+ST_DUP = 15
+ST_WBB = 16
+ST_NREACH = 17
+ST_CUT_OK = 24
+ST_OUT = 25
+ST_NORDER = 29
+ST_COUNTS = 30
+ST_ORDER = 42
+BW_NSLOTS = 54
+
+#: A fresh walk: forced_done = -1, one power cycle, first boot pending.
+_ST_INIT = array("q", bytes(8 * BW_NSLOTS))
+_ST_INIT[3] = -1   # ST_FORCED_DONE
+_ST_INIT[12] = 1   # ST_PC
+_ST_INIT[18] = 1   # ST_PHASE = PH_RESTART
+
+#: Reach-buffer capacity, in (reach, start) pairs; the walk prunes at 64
+#: and reports BW_FALLBACK on overflow.
+REACH_CAP = 256
+
+#: Side-table capacity in sections; past it the table starts over.
+SIDE_CAP = 1 << 16
+
+_pack_params = struct.Struct(f"{BW_NPARAMS}q").pack_into
+_pack_side = struct.Struct("7q").pack_into
+
+
+class WalkEngine:
+    """Reusable buffers and prebound ctypes arguments for ``batch_walk``.
+
+    One engine per thread (:func:`walk_engine`) serves every walk: the
+    parameter block, walk state, reach buffer, on-time buffer and side
+    table are allocated once and rewritten per walk, so loading a walk
+    is one ``pack_into`` and each stop costs one foreign call.  The
+    section tables are the SectionMap's own flat arrays, read in place.
+    Sections they lack go to the side table (:meth:`add_section`), kept
+    while consecutive walks share a map (the rows of a batch, a sweep
+    over schedules) and dropped when the map changes — so the engine
+    holds one map's off-chain sections at most, never a table per map.
+    """
+
+    __slots__ = ("fn", "w_addr", "st_addr", "w", "st", "reach", "ontimes",
+                 "side_map", "skeys", "sends", "scauses", "soffs",
+                 "snsteps", "ssteps", "_reach_addr")
+
+    def __init__(self, lib):
+        self.fn = lib.batch_walk
+        self.w = array("q", bytes(8 * BW_NPARAMS))
+        self.st = array("q", bytes(8 * BW_NSLOTS))
+        self.reach = array("q", bytes(16 * REACH_CAP))
+        self.ontimes = array("q", bytes(8 * 64))
+        self.w_addr = _addr(self.w)
+        self.st_addr = _addr(self.st)
+        self._reach_addr = _addr(self.reach)
+        self.side_map = None
+        self._clear_side()
+
+    def _clear_side(self) -> None:
+        self.skeys = array("q")
+        self.sends = array("i")
+        self.scauses = array("B")
+        self.soffs = array("q")
+        self.snsteps = array("i")
+        self.ssteps = array("i")
+
+    def _pack_side(self) -> None:
+        _pack_side(
+            self.w, 8 * W_SKEYS, self.skeys.buffer_info()[0],
+            len(self.skeys), self.sends.buffer_info()[0],
+            self.scauses.buffer_info()[0], self.soffs.buffer_info()[0],
+            self.snsteps.buffer_info()[0], self.ssteps.buffer_info()[0],
+        )
+
+    def begin(self, smap, consts, ontimes_addr, n_ontimes):
+        """Load one walk over ``smap``: its trace's prefix sums, its flat
+        section tables, and the run constants ``consts`` = ``(base_ck,
+        flush_base, per_entry, rcost, perf_load, prog_default,
+        prog_adaptive, ig_fw, max_pc)``.  Raises ``struct.error`` when a
+        value does not fit int64.
+        """
+        ct = smap.ct
+        flat = smap._flat
+        if flat is not None:
+            keys, ends, causes, soff, steps = flat
+            tables = (
+                keys.buffer_info()[0], len(keys), ends.buffer_info()[0],
+                causes.buffer_info()[0], soff.buffer_info()[0],
+                steps.buffer_info()[0],
+            )
+        else:
+            tables = _NO_TABLES
+        if smap is not self.side_map:
+            self.side_map = smap
+            self._clear_side()
+        _pack_params(
+            self.w, 0, ct.cum_cycles_buffer().buffer_info()[0], ct.n,
+            *tables, ontimes_addr, n_ontimes, *consts,
+            self._reach_addr, REACH_CAP, 0, 0, 0, 0, 0, 0, 0,
+        )
+        self._pack_side()
+        self.st[:] = _ST_INIT
+
+    def add_section(self, key, end, cause_id, steps) -> None:
+        """Serve ``key`` (a section the flat tables lack) from now on."""
+        if len(self.skeys) >= SIDE_CAP:
+            self._clear_side()
+        k = bisect_left(self.skeys, key)
+        self.skeys.insert(k, key)
+        self.sends.insert(k, end)
+        self.scauses.insert(k, cause_id)
+        self.soffs.insert(k, len(self.ssteps))
+        self.snsteps.insert(k, len(steps))
+        self.ssteps.extend(steps)
+        self._pack_side()
+
+    def reaches(self):
+        """The walk's live ``(reach, section_start)`` pairs, time-ordered."""
+        r = self.reach[:2 * self.st[ST_NREACH]]
+        return list(zip(r[0::2], r[1::2]))
+
+    def grow_ontimes(self, need: int):
+        """The scalar on-time buffer, grown to hold ``need`` draws."""
+        buf = self.ontimes
+        if len(buf) < need:
+            grown = array("q", bytes(8 * max(need, 2 * len(buf))))
+            grown[:len(buf)] = buf
+            buf = self.ontimes = grown
+        return buf
+
+
+_NO_TABLES = (0, 0, 0, 0, 0, 0)
+
+
+_walk_tls = threading.local()
+
+
+def walk_engine() -> Optional[WalkEngine]:
+    """This thread's :class:`WalkEngine`, or None without the kernel."""
+    eng = getattr(_walk_tls, "engine", None)
+    if eng is None:
+        lib = chain_scan_lib()
+        if lib is None:
+            return None
+        eng = _walk_tls.engine = WalkEngine(lib)
+    return eng

@@ -122,7 +122,7 @@ class SimJob:
             instead of an error (the progress ablation's "stalled" cells).
         n_seeds: Power-schedule seed repeats.  1 (the default) is the
             classic scalar job; > 1 makes this a *seed-repeat* job executed
-            as one batched lockstep replay (:mod:`repro.sim.batch`) whose
+            as one batched replay (:mod:`repro.sim.batch`) whose
             row ``i`` is exactly the scalar job at salt
             ``salt + i*seed_stride`` — ``execute_job`` then returns a
             :class:`~repro.sim.batch.BatchResult` instead of one
@@ -491,7 +491,7 @@ def execute_job(
 def _execute_batch(
     job: SimJob, settings: EvalSettings
 ) -> Tuple[BatchResult, float]:
-    """Run one seed-repeat job as a single batched lockstep replay.
+    """Run one seed-repeat job as a single batched replay.
 
     Row ``i`` of the returned :class:`~repro.sim.batch.BatchResult` is
     bit-identical to the scalar job at salt ``salt + i*seed_stride``
@@ -500,7 +500,7 @@ def _execute_batch(
     seed-repeat job without changing a single result.
 
     Telemetry folds the whole batch into one ``engine="batch"`` record
-    carrying ``rows=<lockstep rows>``; rows served scalar get their own
+    carrying ``rows=<batched rows>``; rows served scalar get their own
     records, so the ledger's row-weighted totals still reconcile
     run-for-run.  Whole ``BatchResult``s participate in the persistent
     result cache under their own key namespace.
@@ -745,6 +745,11 @@ def _worker_run(item: Tuple[int, SimJob]) -> Tuple[int, dict]:
         "arch": arch_entries,
         "dispatch": {
             "fast": disp_after["fast"] - disp_before["fast"],
+            "walker": {
+                walker: disp_after["walker"][walker] - count
+                for walker, count in disp_before["walker"].items()
+                if disp_after["walker"][walker] != count
+            },
             "reasons": {
                 reason: disp_after["reasons"][reason] - count
                 for reason, count in disp_before["reasons"].items()

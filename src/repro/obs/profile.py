@@ -42,6 +42,7 @@ class Profiler:
         self.disk_cache_puts = 0
         self.disk_cache_evictions = 0
         self.dispatch_fast = 0
+        self.dispatch_walkers: Dict[str, int] = {}
         self.dispatch_reasons: Dict[str, int] = {}
 
     def reset(self) -> None:
@@ -66,6 +67,7 @@ class Profiler:
         self.disk_cache_puts = 0
         self.disk_cache_evictions = 0
         self.dispatch_fast = 0
+        self.dispatch_walkers.clear()
         self.dispatch_reasons.clear()
 
     @contextmanager
@@ -135,10 +137,15 @@ class Profiler:
         self.disk_cache_evictions += evictions
 
     def record_dispatch(self, stats: dict) -> None:
-        """Merge fast-path dispatch counts with their per-reason fallback
-        breakdown (:func:`repro.sim.fast.dispatch_stats`; parallel worker
-        deltas are already folded in by ``run_jobs``)."""
+        """Merge fast-path dispatch counts with their walker split and
+        per-reason fallback breakdown (:func:`repro.sim.fast.
+        dispatch_stats`; parallel worker deltas are already folded in by
+        ``run_jobs``)."""
         self.dispatch_fast += stats.get("fast", 0)
+        for walker, count in stats.get("walker", {}).items():
+            self.dispatch_walkers[walker] = (
+                self.dispatch_walkers.get(walker, 0) + count
+            )
         for reason, count in stats.get("reasons", {}).items():
             if count:
                 self.dispatch_reasons[reason] = (
@@ -193,10 +200,13 @@ class Profiler:
         fallback = sum(self.dispatch_reasons.values())
         if self.dispatch_fast or fallback:
             total = self.dispatch_fast + fallback
+            walkers = self.dispatch_walkers
             lines.append(
                 f"-- fast-path dispatch: {self.dispatch_fast} fast / "
                 f"{fallback} fallback "
-                f"({self.dispatch_fast / total:.1%} fast)"
+                f"({self.dispatch_fast / total:.1%} fast; walker "
+                f"c {walkers.get('c', 0)} / "
+                f"python {walkers.get('python', 0)})"
             )
             if fallback:
                 ranked = sorted(

@@ -37,7 +37,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Dict, List, Optional
 
@@ -75,7 +75,9 @@ class FallbackReason(Enum):
 
     The first five mirror the eligibility checks documented in
     :mod:`repro.sim.fast`; ``DISABLED`` is the ``REPRO_FAST=0`` escape
-    hatch.
+    hatch.  The last two only ever route a whole batch
+    (:func:`repro.sim.batch.simulate_batch`) to the scalar engines:
+    ``REPRO_BATCH=0``, and a live architecture collector.
     """
 
     VERIFY = "verify"
@@ -84,6 +86,8 @@ class FallbackReason(Enum):
     PI_HAZARD = "pi_hazard"
     WATCHDOG_CUT = "watchdog_cut"
     DISABLED = "disabled"
+    BATCH_DISABLED = "batch_disabled"
+    ARCH_COLLECTOR = "arch_collector"
 
 
 #: Ledger fields that carry wall-clock (non-deterministic) data.
@@ -107,6 +111,10 @@ class RunRecord:
             ``reference`` and the run went through ``simulate_fast``.
         kernel: Chain-scan kernel available to the fast path (``c`` or
             ``python``); ``None`` for runs that never enumerate sections.
+            With ``c`` the fast path's section walk also runs in C
+            (``batch_walk``), except under a live architecture collector,
+            which walks in Python; ``engine`` stays ``fast`` either way,
+            and :func:`repro.sim.fast.dispatch_stats` counts the walkers.
         result_cache: Whole-result disk-cache tier outcome — ``hit``,
             ``miss``, or ``off`` (tier not consulted: no store, or the
             call site has no result key, e.g. ``--verify``).  For
@@ -119,7 +127,7 @@ class RunRecord:
         stalled: The run ended in a no-forward-progress abort.
         rows: Simulator runs this record stands for.  1 for scalar runs;
             a batched seed-repeat job (engine ``batch``) folds all its
-            lockstep rows into one record, so aggregates weight by
+            batched rows into one record, so aggregates weight by
             ``rows`` and ledger totals still reconcile run-for-run.
         wall_s: Wall-clock seconds inside the engine (0 for cached).
         t_start: Run start, seconds since the ledger epoch.
@@ -145,9 +153,27 @@ class RunRecord:
     index: int = -1
 
     def to_dict(self) -> dict:
-        d = {"type": "run"}
-        d.update(asdict(self))
-        return d
+        # A plain field copy in field order: the mapping
+        # ``{"type": "run", **dataclasses.asdict(self)}`` builds (every
+        # field is a scalar), without asdict's recursive deep copy.
+        return {
+            "type": "run",
+            "workload": self.workload,
+            "config": self.config,
+            "engine": self.engine,
+            "fallback_reason": self.fallback_reason,
+            "kernel": self.kernel,
+            "result_cache": self.result_cache,
+            "size": self.size,
+            "salt": self.salt,
+            "driver": self.driver,
+            "stalled": self.stalled,
+            "rows": self.rows,
+            "wall_s": self.wall_s,
+            "t_start": self.t_start,
+            "worker": self.worker,
+            "index": self.index,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
@@ -161,7 +187,8 @@ class RunRecord:
         identical ``stable_dict`` sequences (the determinism contract the
         tests pin).
         """
-        d = asdict(self)
+        d = self.to_dict()
+        del d["type"]
         for key in WALL_TIME_FIELDS:
             d.pop(key, None)
         return d
@@ -250,7 +277,10 @@ class RunLedger:
         rec.index = len(self.records)
         self.records.append(rec)
         if self._stream is not None:
-            self._stream.write(json.dumps(rec.to_dict()) + "\n")
+            # Records are final once recorded, so write_jsonl reuses the
+            # streamed line instead of serializing the record again.
+            line = rec._line = json.dumps(rec.to_dict())
+            self._stream.write(line + "\n")
             self._stream.flush()
 
     @contextmanager
@@ -334,7 +364,10 @@ class RunLedger:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(head) + "\n")
             for rec in self.records:
-                fh.write(json.dumps(rec.to_dict()) + "\n")
+                line = getattr(rec, "_line", None)
+                if line is None:
+                    line = json.dumps(rec.to_dict())
+                fh.write(line + "\n")
             for mark in self.driver_marks:
                 line = {"type": "driver"}
                 line.update(mark)

@@ -15,12 +15,25 @@ simulator — same cycle buckets, ``checkpoints_by_cause``, power-cycle and
 output counts — at a per-run cost proportional to the number of *section
 attempts* rather than the number of accesses.
 
+Two walkers.  Whenever the C kernel loads (:mod:`repro.core.cext`) and no
+architecture collector is live, the walk runs in C (``batch_walk``): it
+reads the SectionMap's flat section tables in place and returns to Python
+only for more schedule on-times, a section the tables lack, or a
+``watchdog_cut_safe`` verdict.  The Python walker (:meth:`FastReplay
+Simulator.walk_python`) is the readable reference of the same walk, the
+no-compiler path (``REPRO_CEXT=0`` or no C compiler), the instrumented
+path under ``--arch``, and the rerun for a C walk that hits its
+power-cycle cap or reach-buffer bound — so a stalled run raises the
+identical :class:`SimulationError`.  :func:`dispatch_stats` counts which
+walker served each fast run.
+
 Eligibility.  The fast path models forced checkpoints, PI marking, the
 output-commit protocol, text writes, and both watchdogs (including the
 adaptive Progress Watchdog's non-volatile halving state machine) exactly.
 It refuses — by raising :class:`FastPathIneligible`, which
 :func:`simulate_fast` turns into a reference-simulator rerun — when a run
-needs state the section walk does not carry:
+needs state the section walk does not carry (:func:`fallback_reason`, the
+one eligibility chain the batch engine shares):
 
 * ``verify=True`` (the dynamic verifier checks every read value),
 * a live recorder (events fire per access, not per section),
@@ -42,9 +55,13 @@ Set ``REPRO_FAST=0`` to disable the fast path entirely.
 """
 
 import os
+import struct
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Optional
 
 from repro.common.errors import SimulationError
+from repro.core import cext
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR, HAZARD_CAUSES
 from repro.obs.recorder import live_recorder
 from repro.obs.telemetry import FallbackReason
@@ -58,15 +75,36 @@ from repro.sim.sections import (
     VARIANT_DIRECT,
     VARIANT_FORCED_DONE,
     VARIANT_NORMAL,
+    _CAUSE_ID,
     _CAUSE_KIND_BY_ID,
     _CAUSE_NAME_BY_ID,
+    SectionMap,
     get_section_map,
 )
+from repro.sim.simulator import IntermittentSimulator
 
 #: Stand-in ``flat_index().get`` for maps without flat storage: every
 #: probe misses, so the walker takes the dict/scalar path unchanged.
 _NO_FLAT_GET = {}.get
-from repro.sim.simulator import IntermittentSimulator
+
+# The C walk's protocol constants, bound once for its driver loop.
+_BW_NEED_SECTION = cext.BW_NEED_SECTION
+_BW_NEED_ONTIMES = cext.BW_NEED_ONTIMES
+_ST_OUT = cext.ST_OUT
+_ST_ORDER = cext.ST_ORDER
+_ST_COUNTS = cext.ST_COUNTS
+_WALK_CAUSE_NAMES = cext.WALK_CAUSE_NAMES
+#: Cap on the on-times drawn before a scalar C walk starts.
+_MAX_FIRST_DRAWS = 64
+_RESULT_SLOTS = itemgetter(
+    cext.ST_USEFUL, cext.ST_CKPT, cext.ST_RESTART, cext.ST_REEXEC,
+    cext.ST_WASTED, cext.ST_PC, cext.ST_WASTED_PC, cext.ST_OUTPUTS,
+    cext.ST_DUP, cext.ST_WBB, cext.ST_NORDER,
+)
+
+
+class _NotInt64(Exception):
+    """A schedule draw the C walk's int64 buffer cannot hold."""
 
 
 class FastPathIneligible(Exception):
@@ -81,10 +119,143 @@ class FastPathIneligible(Exception):
         super().__init__(detail or reason.value)
 
 
+def env_enabled(name: str) -> bool:
+    """An on-by-default ``REPRO_*`` escape hatch (``0/off/false/no``)."""
+    return os.environ.get(name, "1").strip().lower() not in (
+        "0", "off", "false", "no",
+    )
+
+
 def fast_path_enabled() -> bool:
     """The ``REPRO_FAST`` escape hatch (default on)."""
-    return os.environ.get("REPRO_FAST", "1").strip().lower() not in (
-        "0", "off", "false", "no",
+    return env_enabled("REPRO_FAST")
+
+
+def section_map_for(sim) -> SectionMap:
+    """The shared SectionMap of a simulator's run (memoized on it)."""
+    smap = sim.__dict__.get("_smap")
+    if smap is None:
+        smap = sim._smap = get_section_map(
+            sim.trace, sim.config, sim.pi_words, sim.pi_access_indices,
+            sim.forced_checkpoints,
+        )
+    return smap
+
+
+_DETAIL = {
+    FallbackReason.VERIFY: "dynamic verification replays per access",
+    FallbackReason.LIVE_RECORDER: "event recording replays per access",
+    FallbackReason.VOLATILE_RANGES: "mixed-volatility is not section-memoized",
+    FallbackReason.PI_HAZARD: (
+        "access-marked PI writes alias tracked writes under "
+        "ignore-false-writes"
+    ),
+}
+
+
+def fallback_reason(sim, batch: bool = False) -> Optional[FallbackReason]:
+    """Why ``sim`` cannot run on the section walk, or None if it can.
+
+    The one eligibility chain of the scalar and batched fast paths, in
+    order: ``REPRO_BATCH=0`` (batch only), ``REPRO_FAST=0``, a live
+    architecture collector (batch only: the scalar walk instruments
+    itself), ``verify``, a live recorder, volatile ranges, the static PI
+    hazard.  The SectionMap is looked up only when every cheaper check
+    passes.
+    """
+    if batch and not env_enabled("REPRO_BATCH"):
+        return FallbackReason.BATCH_DISABLED
+    if not fast_path_enabled():
+        return FallbackReason.DISABLED
+    if batch and ARCH_COLLECTOR.enabled:
+        return FallbackReason.ARCH_COLLECTOR
+    if sim.verify:
+        return FallbackReason.VERIFY
+    if live_recorder(sim.recorder) is not None:
+        return FallbackReason.LIVE_RECORDER
+    if sim.volatile_ranges:
+        return FallbackReason.VOLATILE_RANGES
+    if section_map_for(sim).pi_hazard:
+        return FallbackReason.PI_HAZARD
+    return None
+
+
+def walk_constants(sim) -> tuple:
+    """The run constants of the C walk's parameter block."""
+    cost = sim.cost_model
+    return (
+        cost.register_checkpoint_cycles, cost.wbb_flush_base_cycles,
+        cost.wbb_entry_flush_cycles, cost.restart_cycles(0),
+        sim.perf_watchdog_load, sim.progress_watchdog_load,
+        1 if sim.progress_watchdog_adaptive else 0,
+        1 if sim.config.optimizations.ignore_false_writes else 0,
+        sim.max_power_cycles,
+    )
+
+
+def drive_walk(eng, smap: SectionMap, refill) -> int:
+    """Run the loaded C walk to a terminal stop, answering its requests.
+
+    ``refill()`` must extend the on-time buffer by at least one draw and
+    return its ``(address, count)``.  Returns ``BW_DONE`` (the result is
+    in ``eng.st``), ``BW_FALLBACK`` (rerun on the Python walker), or
+    ``BW_NEED_CUT`` for a watchdog cut :meth:`SectionMap.
+    watchdog_cut_safe` rejects (rerun on the reference simulator).
+    """
+    fn, w_addr, st_addr = eng.fn, eng.w_addr, eng.st_addr
+    st = eng.st
+    w = eng.w
+    chain_section = smap.chain_section
+    add_section = eng.add_section
+    while True:
+        rc = fn(w_addr, st_addr)
+        if rc == _BW_NEED_SECTION:
+            # An off-table key: a watchdog cut's resume point, or any key
+            # of a map without flat tables.  Served once per key while
+            # the engine stays on this map.
+            key = st[_ST_OUT]
+            end, cause, _, steps = chain_section(key >> 2, key & 3)
+            add_section(key, end, _CAUSE_ID[cause], steps)
+        elif rc == _BW_NEED_ONTIMES:
+            w[cext.W_ONTIMES], w[cext.W_NONTIMES] = refill()
+        elif rc == cext.BW_NEED_CUT:
+            o = _ST_OUT
+            if not smap.watchdog_cut_safe(
+                st[o], st[o + 1], st[o + 2], st[o + 3], eng.reaches()
+            ):
+                return rc
+            st[cext.ST_CUT_OK] = 1
+        else:
+            return rc  # BW_DONE or BW_FALLBACK
+
+
+def walk_result(sim, st) -> SimulationResult:
+    """The :class:`SimulationResult` of a finished C walk's state."""
+    v = st.tolist()
+    (useful, ckpt, restart, reexec, wasted, pc, wasted_pc, outputs, dup,
+     wbb, norder) = _RESULT_SLOTS(v)
+    by_cause = {}
+    for c in v[_ST_ORDER:_ST_ORDER + norder]:
+        by_cause[_WALK_CAUSE_NAMES[c]] = v[_ST_COUNTS + c]
+    trace = sim.trace
+    return SimulationResult(
+        name=trace.name,
+        config_label=sim.config.label(),
+        baseline_cycles=trace.total_cycles,
+        useful_cycles=useful,
+        checkpoint_cycles=ckpt,
+        restart_cycles=restart,
+        reexec_cycles=reexec,
+        wasted_cycles=wasted,
+        checkpoints_by_cause=by_cause,
+        power_cycles=pc,
+        wasted_power_cycles=wasted_pc,
+        outputs=outputs,
+        duplicate_outputs=dup,
+        wbb_words_flushed=wbb,
+        verified=False,
+        completed=True,
+        metrics={},
     )
 
 
@@ -95,40 +266,71 @@ class FastReplaySimulator(IntermittentSimulator):
     reference ``__init__``: same ``"auto"`` watchdog resolution, same
     ``max_power_cycles`` default).  :meth:`run` raises
     :class:`FastPathIneligible` instead of silently degrading; use
-    :func:`simulate_fast` for transparent fallback.
+    :func:`simulate_fast` for transparent fallback.  After a completed
+    run, :attr:`walker` names the walker that served it.
     """
 
-    def run(self) -> SimulationResult:
-        if self.verify:
-            raise FastPathIneligible(
-                FallbackReason.VERIFY,
-                "dynamic verification replays per access",
-            )
-        if live_recorder(self.recorder) is not None:
-            raise FastPathIneligible(
-                FallbackReason.LIVE_RECORDER,
-                "event recording replays per access",
-            )
-        if self.volatile_ranges:
-            raise FastPathIneligible(
-                FallbackReason.VOLATILE_RANGES,
-                "mixed-volatility is not section-memoized",
-            )
-        trace = self.trace
-        smap = get_section_map(
-            trace,
-            self.config,
-            self.pi_words,
-            self.pi_access_indices,
-            self.forced_checkpoints,
-        )
-        if smap.pi_hazard:
-            raise FastPathIneligible(
-                FallbackReason.PI_HAZARD,
-                "access-marked PI writes alias tracked writes under "
-                "ignore-false-writes",
-            )
+    #: ``"c"`` or ``"python"`` once :meth:`run` has returned.
+    walker: Optional[str] = None
 
+    def run(self) -> SimulationResult:
+        reason = fallback_reason(self)
+        if reason is not None:
+            raise FastPathIneligible(reason, _DETAIL.get(reason, ""))
+        smap = section_map_for(self)
+        if not ARCH_COLLECTOR.enabled:
+            eng = cext.walk_engine()
+            if eng is not None:
+                result = self._walk_c(eng, smap)
+                if result is not None:
+                    self.walker = "c"
+                    return result
+        self.walker = "python"
+        return self.walk_python(smap)
+
+    def _walk_c(self, eng, smap: SectionMap) -> Optional[SimulationResult]:
+        """The C walk; None when the Python walker must redo the run."""
+        schedule = self.schedule
+        schedule.reset()
+        next_on = schedule.next_on_time
+        # Draw about as many on-times as the run should need (one per
+        # expected power cycle, plus the boot); the walk asks for more,
+        # doubling, when it runs out.
+        first = min(_MAX_FIRST_DRAWS, 2 + int(
+            self.trace.total_cycles / max(1.0, schedule.mean_on_time)
+        ))
+        have = 0
+
+        def refill():
+            nonlocal have
+            want = max(first, 2 * have)
+            buf = eng.grow_ontimes(want)
+            try:
+                for k in range(have, want):
+                    buf[k] = next_on()
+            except (OverflowError, TypeError) as exc:
+                raise _NotInt64 from exc
+            have = want
+            return buf.buffer_info()[0], have
+
+        try:
+            eng.begin(smap, walk_constants(self), *refill())
+            rc = drive_walk(eng, smap, refill)
+        except (_NotInt64, struct.error):
+            return None  # a value the int64 walk cannot hold: walk in Python
+        if rc == cext.BW_DONE:
+            return walk_result(self, eng.st)
+        if rc == cext.BW_FALLBACK:
+            return None
+        raise FastPathIneligible(
+            FallbackReason.WATCHDOG_CUT,
+            "watchdog checkpoint below the furthest executed index with "
+            "ignore-false-writes",
+        )
+
+    def walk_python(self, smap: SectionMap) -> SimulationResult:
+        """The Python section walk: the reference of the C walk."""
+        trace = self.trace
         ct = smap.ct
         n = ct.n
         gcum = ct.cum_cycles
@@ -632,10 +834,12 @@ class FastReplaySimulator(IntermittentSimulator):
         )
 
 
-#: Process-wide dispatch counters: runs completed on the section walk, and
-#: runs handed to the reference simulator broken out by typed reason.
+#: Process-wide dispatch counters: runs completed on the section walk
+#: (split by the walker that served them), and runs handed to the
+#: reference simulator broken out by typed reason.
 _STATS = {
     "fast": 0,
+    "walker": {"c": 0, "python": 0},
     "reasons": {reason.value: 0 for reason in FallbackReason},
 }
 
@@ -648,14 +852,16 @@ _LAST = ("fast", None)
 def dispatch_stats() -> dict:
     """Dispatch counts since reset, with the fallback-reason breakdown.
 
-    ``{"fast": int, "fallback": int, "reasons": {reason: int}}`` — the
-    ``fast``/``fallback`` pair keeps the historical two-counter shape
-    (``fallback`` is the sum over reasons).
+    ``{"fast": int, "fallback": int, "walker": {"c": int, "python": int},
+    "reasons": {reason: int}}`` — the ``fast``/``fallback`` pair keeps
+    the historical two-counter shape (``fallback`` is the sum over
+    reasons); ``walker`` splits ``fast`` by the walker that served it.
     """
     reasons = dict(_STATS["reasons"])
     return {
         "fast": _STATS["fast"],
         "fallback": sum(reasons.values()),
+        "walker": dict(_STATS["walker"]),
         "reasons": reasons,
     }
 
@@ -670,8 +876,9 @@ def fast_stats() -> dict:
 def reset_dispatch_stats() -> None:
     """Zero the dispatch counters (benchmark guards, tests, eval CLI)."""
     _STATS["fast"] = 0
-    for reason in _STATS["reasons"]:
-        _STATS["reasons"][reason] = 0
+    for counters in (_STATS["walker"], _STATS["reasons"]):
+        for key in counters:
+            counters[key] = 0
 
 
 #: Historical name, kept for callers of the two-counter API.
@@ -683,9 +890,10 @@ def merge_dispatch_stats(delta: dict) -> None:
     (:func:`repro.eval.parallel.run_jobs` merges per-job payload deltas so
     parent-side :func:`dispatch_stats` covers pooled runs too)."""
     _STATS["fast"] += delta.get("fast", 0)
-    reasons = _STATS["reasons"]
-    for reason, count in delta.get("reasons", {}).items():
-        reasons[reason] = reasons.get(reason, 0) + count
+    for group in ("walker", "reasons"):
+        counters = _STATS[group]
+        for key, count in delta.get(group, {}).items():
+            counters[key] = counters.get(key, 0) + count
 
 
 def last_dispatch():
@@ -701,16 +909,16 @@ def simulate_fast(trace, config, schedule, **kwargs) -> SimulationResult:
     consumes the identical on-time sequence.
     """
     global _LAST
-    if fast_path_enabled():
-        try:
-            result = FastReplaySimulator(trace, config, schedule, **kwargs).run()
-            _STATS["fast"] += 1
-            _LAST = ("fast", None)
-            return result
-        except FastPathIneligible as exc:
-            reason = exc.reason.value
+    sim = FastReplaySimulator(trace, config, schedule, **kwargs)
+    try:
+        result = sim.run()
+    except FastPathIneligible as exc:
+        reason = exc.reason.value
     else:
-        reason = FallbackReason.DISABLED.value
+        _STATS["fast"] += 1
+        _STATS["walker"][sim.walker] += 1
+        _LAST = ("fast", None)
+        return result
     _STATS["reasons"][reason] += 1
     _LAST = ("reference", reason)
     return IntermittentSimulator(trace, config, schedule, **kwargs).run()

@@ -102,6 +102,7 @@ _NAME_KIND_BY_ID = [
 #: pipelines that materialize whole flat stores without a Python loop.
 _CAUSE_NAME_BY_ID = [name for name, _ in _NAME_KIND_BY_ID]
 _CAUSE_KIND_BY_ID = [kind for _, kind in _NAME_KIND_BY_ID]
+_CAUSE_ID = {name: k for k, name in enumerate(_CAUSE_NAMES)}
 
 #: Section-entry variants.
 VARIANT_NORMAL = 0
@@ -205,6 +206,8 @@ class SectionMap:
         self._flat_persisted = False
         # Persistent artifact store: seed the memo from a previous run's
         # (or a sibling worker's) enumeration of this exact key.
+        # ``_loaded_n`` counts the sections the store holds for it, flat
+        # rows and dict entries alike.
         self._disk_key = None
         self._loaded_n = 0
         st = artifact_cache.store()
@@ -229,13 +232,13 @@ class SectionMap:
                 self._loaded_n = len(self._sections)
             elif (
                 isinstance(loaded, tuple) and len(loaded) == 7
-                and loaded[0] == "flat1"
+                and loaded[0] == "flat1" and _valid_flat(loaded[1:6], ct.n)
             ):
                 _DISK_LOADS += 1
                 self._flat = loaded[1:6]
                 self._flat_persisted = True
                 self._sections.update(loaded[6])
-                self._loaded_n = len(self._sections)
+                self._loaded_n = len(self._flat[0]) + len(self._sections)
 
     def section(self, start: int, variant: int) -> Section:
         """The memoized section beginning at ``start`` under ``variant``."""
@@ -260,6 +263,9 @@ class SectionMap:
                 # no-WF-overflow fallback: batched chain scan.
                 t0 = perf_counter()
                 self._ingest_chain(start, variant)
+                if key not in self._sections:
+                    # The canonical chain went to flat storage.
+                    self._materialize_all()
                 _ENUM_SECONDS += perf_counter() - t0
                 sec = self._sections[key]
             if self._disk_key is not None:
@@ -294,7 +300,7 @@ class SectionMap:
                 t0 = perf_counter()
                 self._ingest_chain(start, variant)
                 _ENUM_SECONDS += perf_counter() - t0
-                sec = self._sections[key]
+                sec = self._sections.get(key) or self._flat_get(key)
             if self._disk_key is not None:
                 _DIRTY.add(self)
         return sec
@@ -400,9 +406,16 @@ class SectionMap:
         """Whether a persist would write anything new to the store."""
         if self._disk_key is None:
             return False
-        if self._flat is not None and not self._flat_persisted:
+        flat = self._flat
+        if flat is None:
+            return len(self._sections) > self._loaded_n
+        if not self._flat_persisted:
             return True
-        return len(self._sections) - self._mat_n > self._loaded_n
+        # Dict entries the flat store does not cover, against those the
+        # store already holds (``_loaded_n`` counts flat rows too).
+        return (
+            len(self._sections) - self._mat_n > self._loaded_n - len(flat[0])
+        )
 
     def persist(self) -> None:
         """Write newly-enumerated sections to the artifact store (no-op
@@ -421,7 +434,7 @@ class SectionMap:
             }
             payload = ("flat1",) + tuple(self._flat) + (extras,)
             if st.put("sections", self._disk_key, payload):
-                self._loaded_n = len(extras)
+                self._loaded_n = len(self._flat[0]) + len(extras)
                 self._mat_n = len(self._sections) - len(extras)
                 self._flat_persisted = True
             return
@@ -447,9 +460,17 @@ class SectionMap:
         runs over ``tolist()`` snapshots with a single indexed
         cause/kind table); otherwise the pure-Python generator (the
         reference implementation) does the same walk.
+
+        The canonical chain (entry ``(0, VARIANT_NORMAL)``) of a map
+        without flat storage is installed as flat storage instead, exactly
+        as a family scan would have — so every map's canonical chain is
+        readable in place by the C section walk.
         """
         secs = self._sections
         kind_of = _KIND_BY_CAUSE
+        canonical = (
+            start == 0 and variant == VARIANT_NORMAL and self._flat is None
+        )
         eng = self._engine
         if eng is _UNSET:
             eng = self._engine = self._detector.chain_scan_engine(
@@ -463,6 +484,20 @@ class SectionMap:
             )
             so = eng.out_steps_off
             sf = eng.out_steps
+            if canonical:
+                _install_flat(
+                    self,
+                    array("q", [
+                        (s_ << 2) | v_ for s_, v_ in zip(
+                            eng.out_start[:nsec], eng.out_variant[:nsec]
+                        )
+                    ]),
+                    eng.out_end[:nsec],
+                    eng.out_cause[:nsec],
+                    array("q", so[:nsec + 1]),
+                    sf[:so[nsec]],
+                )
+                return
             name_kind = _NAME_KIND_BY_ID
             empty = ()
             for s_, v_, end, cid, a, b in zip(
@@ -483,18 +518,24 @@ class SectionMap:
             return
         if self._scratch is None:
             self._scratch = self._detector.chain_scratch(self.ct)
-        for s, v, end, cause, steps, _ in (
-            self._detector.straightline_chain(
-                self.ct,
-                start,
-                variant == VARIANT_DIRECT,
-                start if variant == VARIANT_FORCED_DONE else -1,
-                self._forced_sorted,
-                self.pi_words,
-                self.pi_indices,
-                self._scratch,
+        chain = self._detector.straightline_chain(
+            self.ct,
+            start,
+            variant == VARIANT_DIRECT,
+            start if variant == VARIANT_FORCED_DONE else -1,
+            self._forced_sorted,
+            self.pi_words,
+            self.pi_indices,
+            self._scratch,
+        )
+        if canonical:
+            _distribute_events_py(
+                [self],
+                [(0, s, v, end, _CAUSE_ID[cause], steps)
+                 for s, v, end, cause, steps, _ in chain],
             )
-        ):
+            return
+        for s, v, end, cause, steps, _ in chain:
             key = (s << 2) | v
             if key in secs or self._flat_has(key):
                 break
@@ -918,7 +959,7 @@ def _family_scan_chunk(
     """
     global _ENUM_SECONDS, _FAMILY_PASSES, _FAMILY_MAPS
     if len(maps) == 1:
-        maps[0].section(0, VARIANT_NORMAL)
+        maps[0].chain_section(0, VARIANT_NORMAL)
         return
     t0 = perf_counter()
     m0 = maps[0]
@@ -962,6 +1003,26 @@ def _family_scan_py(ct, det0, shift, m0, params):
         members = list(params)
     return family_chain_scan_py(
         ops_b, wids_b, pids_b, pi_b, m0._forced_sorted, ct.n, members
+    )
+
+
+def _valid_flat(flat, n: int) -> bool:
+    """Whether a loaded flat store is safe for the C walk to read in
+    place: the typecodes it indexes with, consistent lengths, step
+    offsets inside the steps array, known cause ids, ends within the
+    trace."""
+    if not all(isinstance(a, array) for a in flat):
+        return False
+    keys, ends, causes, soff, steps = flat
+    k = len(keys)
+    return (
+        (keys.typecode, ends.typecode, causes.typecode, soff.typecode,
+         steps.typecode) == ("q", "i", "B", "q", "i")
+        and len(ends) == len(causes) == k and len(soff) == k + 1
+        and soff[0] == 0 and soff[k] == len(steps)
+        and all(a <= b for a, b in zip(soff, soff[1:]))
+        and (k == 0 or (max(causes) < len(_CAUSE_NAMES)
+                        and 0 <= min(ends) and max(ends) <= n))
     )
 
 

@@ -53,7 +53,7 @@ class CompiledTrace:
         "cum_cycles", "false_writes", "content_key", "_first", "_last",
         "_vol_masks", "_scan_arrays", "_prefix_ids", "_scan_bufs",
         "_prefix_bufs", "_pi_masks", "_c_scratch", "_c_out",
-        "_pi_hazards", "_windex",
+        "_pi_hazards", "_windex", "_cum_buf",
     )
 
     def __init__(self, trace: "Trace"):
@@ -105,6 +105,7 @@ class CompiledTrace:
         self._c_out: Optional[tuple] = None
         self._pi_hazards: Dict[tuple, bool] = {}
         self._windex: Optional[Dict[int, list]] = None
+        self._cum_buf: Optional[array] = None
 
     def volatile_mask(
         self, volatile_ranges: Sequence[Tuple[int, int]]
@@ -385,6 +386,15 @@ class CompiledTrace:
             )
             self._c_out = cached
         return cached
+
+    def cum_cycles_buffer(self) -> array:
+        """``cum_cycles`` as an int64 buffer for the C section walk
+        (:mod:`repro.core.cext`), built once per trace."""
+        cached = self._cum_buf
+        if cached is None:
+            cached = self._cum_buf = array("q", self.cum_cycles)
+        return cached
+
 
 #: Marker kinds emitted by the tracing memory at function boundaries.  The
 #: Ratchet baseline (compiler-only idempotency, Section 2.2 / Table 3)

@@ -5,10 +5,12 @@ N schedules through :func:`repro.sim.batch.simulate_batch` must be
 *bit-identical*, row for row, to N scalar :func:`repro.sim.fast.
 simulate_fast` calls at the same seeds — across buffer configurations,
 policy optimizations, PI marking, both chain-scan kernels, and every
-fallback route (whole-batch ineligibility, ``REPRO_BATCH=0``, per-row
-reruns).  The schedule matrix itself is pinned to the scalar generators:
-row ``i`` of a :class:`~repro.power.schedules.ScheduleBatch` must equal,
-draw for draw, the ``ExponentialPower`` seeded ``base + i*stride``.
+fallback route (whole-batch ineligibility, ``REPRO_BATCH=0``, no C
+kernel, per-row reruns).  Run under ``REPRO_CEXT=0`` the same grid pins
+the per-row fallback: every row then walks on the scalar Python walker.
+The schedule matrix itself is pinned to the scalar generators: row ``i``
+of a :class:`~repro.power.schedules.ScheduleBatch` must equal, draw for
+draw, the ``ExponentialPower`` seeded ``base + i*stride``.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.eval.settings import EvalSettings
 from repro.obs.analyze import COLLECTOR as ARCH_COLLECTOR
 from repro.power.schedules import ExponentialPower
 from repro.sim.batch import (
+    NO_CEXT,
     BatchResult,
     batch_enabled,
     batch_stats,
@@ -120,23 +123,30 @@ class TestEquivalence:
         assert _batch_dicts(batch) == scalar
 
     def test_kernel_toggle_identical(self, monkeypatch):
-        # The C row walker and the NumPy lockstep walk must agree with
-        # each other, not just with the scalar engines.
+        # The batched C walk and the no-C route (every row on the scalar
+        # Python walker) must agree with each other, not just with the
+        # scalar engines.
         trace = get_trace("fft", "small")
         config = ClankConfig.from_tuple((8, 4, 2, 0))
-        monkeypatch.setenv("REPRO_CEXT", "0")
-        cext.reset_for_tests()
         try:
-            lockstep = _batch_dicts(
-                _batch(trace, config, 900, 2, 3, **_WDTS)
-            )
+            monkeypatch.setenv("REPRO_CEXT", "0")
+            cext.reset_for_tests()
+            reset_batch_stats()
+            no_c = _batch(trace, config, 900, 2, 3, **_WDTS)
+            assert no_c.batch_rows == 0
+            assert no_c.engines == ["fast"] * 3
+            if batch_enabled():
+                assert batch_stats()["reasons"] == {NO_CEXT: 3}
             monkeypatch.setenv("REPRO_CEXT", "1")
             cext.reset_for_tests()
-            via_c = _batch_dicts(_batch(trace, config, 900, 2, 3, **_WDTS))
+            via_c = _batch(trace, config, 900, 2, 3, **_WDTS)
         finally:
+            monkeypatch.undo()
             cext.reset_for_tests()
-        assert lockstep == via_c
-        assert lockstep == _rows(trace, config, 900, 2, 3, **_WDTS)
+        if batch_enabled() and cext.walk_engine() is not None:
+            assert via_c.batch_rows == 3
+        assert _batch_dicts(no_c) == _batch_dicts(via_c)
+        assert _batch_dicts(no_c) == _rows(trace, config, 900, 2, 3, **_WDTS)
 
 
 class TestScheduleBatch:
@@ -173,7 +183,7 @@ class TestScheduleBatch:
 
 
 class TestFallback:
-    """Every route off the lockstep walk must stay bit-exact."""
+    """Every route off the batched C walk must stay bit-exact."""
 
     def _setup(self):
         trace = get_trace("crc", "small")
@@ -225,8 +235,15 @@ class TestFallback:
         batch = _batch(trace, config, 900, 6, 4, **_WDTS)
         stats = batch_stats()
         assert stats["rows_batched"] + stats["rows_fallback"] == 4
-        if batch_enabled():
+        if not batch_enabled():
+            return
+        if cext.walk_engine() is not None:
             assert batch.batch_rows == stats["rows_batched"] > 0
+        else:
+            # No C kernel: every row walks on the scalar Python walker.
+            assert batch.batch_rows == 0
+            assert stats["reasons"] == {NO_CEXT: 4}
+            assert batch.engines == ["fast"] * 4
 
 
 class TestBatchResult:

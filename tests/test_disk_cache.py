@@ -182,6 +182,38 @@ class TestCorruption:
         assert _walk(again) == ref
 
 
+    def test_malformed_flat_sections_entry_is_a_miss(
+        self, monkeypatch, tmp_path
+    ):
+        # A well-formed pickle whose flat tables the C walk could not
+        # read in place (a step offset past the steps array) must load
+        # as a miss, never reach the walk.
+        from array import array
+
+        trace = get_trace("crc", size="small")
+        from repro.core.config import ClankConfig
+
+        config = ClankConfig.from_tuple((8, 4, 2, 2))
+        ref = _walk(SectionMap(trace, config))
+        sections.clear_cache()
+
+        st = _enable(monkeypatch, tmp_path)
+        smap = SectionMap(trace, config)
+        _walk(smap)
+        smap.persist()
+        payload = st.get("sections", smap._disk_key)
+        assert payload[0] == "flat1"
+        keys, ends, causes, soff, steps = payload[1:6]
+        bad_soff = array("q", soff)
+        bad_soff[-1] = len(steps) + 1000
+        st.put("sections", smap._disk_key,
+               ("flat1", keys, ends, causes, bad_soff, steps, payload[6]))
+        sections.clear_cache()
+        again = SectionMap(trace, config)
+        assert again._loaded_n == 0 and again._flat is None
+        assert _walk(again) == ref
+
+
 class TestEviction:
     def test_eviction_respects_size_cap(self, tmp_path):
         cap = 64 * 1024

@@ -9,14 +9,27 @@ eligible.  The optional C chain-scan kernel (:mod:`repro.core.cext`) must
 in turn be branch-identical to the pure-Python generator it ports.
 """
 
-import pytest
+import hashlib
+import os
+import random
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from repro.common.errors import SimulationError
+from repro.compiler.epoch_analysis import compile_with_epochs
 from repro.core import cext
 from repro.core.config import ClankConfig, PolicyOptimizations
 from repro.core.detector import IdempotencyDetector
 from repro.eval.runner import pi_words_for
 from repro.obs.recorder import MemoryRecorder, NullRecorder
-from repro.power.schedules import ExponentialPower, ReplayPower
+from repro.power.schedules import (
+    ExponentialPower,
+    FixedPower,
+    ReplayPower,
+    RuntPower,
+)
 from repro.sim.fast import (
     FastPathIneligible,
     FastReplaySimulator,
@@ -32,7 +45,7 @@ from repro.sim.sections import (
     get_section_map,
     reset_cache_stats,
 )
-from repro.sim.simulator import IntermittentSimulator
+from repro.sim.simulator import IntermittentSimulator, simulate
 from repro.trace.access import READ, WRITE
 from repro.workloads import get_trace
 
@@ -450,3 +463,230 @@ class TestVolDirtyRollback:
         assert result.checkpoint_cycles == (
             base.checkpoint_cycles(0, 0) + base.checkpoint_cycles(0, 1)
         )
+
+
+# ---- differential: C walker == Python walker == verifying reference ---- #
+
+_MIBENCH = ("crc", "limits", "fft", "rc4", "qsort", "sha")
+_ALL_OPTS = PolicyOptimizations.all_settings()
+
+_programs = st.lists(
+    st.tuples(
+        st.sampled_from([READ, WRITE]),
+        st.integers(min_value=0, max_value=10),
+        st.integers(min_value=0, max_value=3),
+    ),
+    min_size=1,
+    max_size=80,
+).map(lambda raw: tuple(
+    (k, off) if k == READ else (k, off, v) for k, off, v in raw
+))
+_loads = st.one_of(
+    st.just(0), st.just("auto"), st.integers(min_value=20, max_value=400)
+)
+_schedules = st.one_of(
+    st.tuples(st.just("exp"), st.sampled_from([40, 150, 300, 800, 3000]),
+              st.integers(0, 1000)),
+    st.tuples(st.just("runt"), st.sampled_from([150, 800, 3000]),
+              st.integers(1, 40), st.sampled_from([0.3, 0.7]),
+              st.integers(0, 1000)),
+    st.tuples(st.just("fixed"), st.integers(1, 600)),
+)
+_cases = st.tuples(
+    st.one_of(st.sampled_from(_MIBENCH), _programs),
+    st.tuples(st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from([0, 1, 4, 8]),
+              st.sampled_from([0, 1, 2, 4]), st.sampled_from([0, 2, 4])),
+    st.integers(0, len(_ALL_OPTS) - 1),
+    _loads,
+    _loads,
+    st.booleans(),
+    st.sampled_from(["none", "pi", "epochs", "forced"]),
+    st.integers(0, 1000),
+    _schedules,
+    st.one_of(st.none(), st.integers(3, 40)),
+)
+
+#: Shrunk cases that reach every stop of the C walk's protocol (checked
+#: by test_fixed_cases_reach_every_path); they also run as examples of
+#: the property.
+_FIXED_CASES = {
+    "unsafe_cut": ("limits", (16, 0, 2, 0), 31, "auto", "auto", True, "pi",
+                   0, ("exp", 300, 96), None),
+    "refill": ("rc4", (16, 0, 4, 2), 14, 0, 0, True, "pi", 0,
+               ("exp", 3000, 26), None),
+    "tiny_refill": ("crc", (8, 4, 2, 0), 15, 0, 0, True, "epochs", 143,
+                    ("exp", 40, 17), None),
+    "safe_cut": ("sha", (4, 8, 2, 0), 29, 0, 83, True, "none", 0,
+                 ("fixed", 300), None),
+    "stall_walk": ("fft", (1, 4, 0, 0), 18, 81, 190, True, "pi", 0,
+                   ("fixed", 300), None),
+    "stall_restart": ("crc", (8, 4, 2, 0), 0, 0, 0, True, "none", 0,
+                      ("exp", 40, 7), 5),
+}
+# Its cuts resume at keys off the canonical chain.
+_FIXED_CASES["off_chain_section"] = _FIXED_CASES["unsafe_cut"]
+
+
+def _case_inputs(case):
+    """``(trace, config, make_schedule, kwargs)`` of a differential case."""
+    (source, spec, opt_idx, perf, prog, adaptive, marking, mark_seed,
+     sched, max_pc) = case
+    if isinstance(source, str):
+        trace = get_trace(source, "tiny")
+    else:
+        # The SectionMap and PI caches key traces by name, length, cycles
+        # and checksum; a per-program name keeps distinct programs apart.
+        digest = hashlib.sha1(repr(source).encode()).hexdigest()[:16]
+        trace = make_trace(list(source), name=f"micro-{digest}")
+    config = ClankConfig.from_tuple(spec, _ALL_OPTS[opt_idx])
+    kw = dict(perf_watchdog=perf, progress_watchdog=prog,
+              progress_watchdog_adaptive=adaptive, max_power_cycles=max_pc)
+    n = len(trace.accesses)
+    rng = random.Random(mark_seed)
+    if marking == "pi":
+        kw["pi_words"] = pi_words_for(trace)
+    elif marking == "epochs":
+        plan = compile_with_epochs(trace, 40 + mark_seed)
+        kw["pi_access_indices"] = plan.ignorable
+        kw["forced_checkpoints"] = plan.boundaries
+    elif marking == "forced":
+        kw["forced_checkpoints"] = frozenset(rng.sample(range(n), min(n, 3)))
+
+    def make_schedule():
+        if sched[0] == "exp":
+            return ExponentialPower(sched[1], seed=sched[2])
+        if sched[0] == "runt":
+            return RuntPower(sched[1], sched[2], sched[3], seed=sched[4])
+        return FixedPower(sched[1])
+
+    return trace, config, make_schedule, kw
+
+
+def _outcome(run):
+    try:
+        return ("ok", run().to_dict(include_derived=False))
+    except FastPathIneligible as exc:
+        return ("ineligible", exc.reason.value)
+    except SimulationError as exc:
+        return ("stall", str(exc))
+
+
+def _walk(case, use_c: bool, codes=None):
+    """One fast-path walk with the C kernel on or off; ``codes`` collects
+    the C walk's stop codes."""
+    trace, config, make_schedule, kw = _case_inputs(case)
+    codes = set() if codes is None else codes
+    saved = os.environ.get("REPRO_CEXT")
+    os.environ["REPRO_CEXT"] = "1" if use_c else "0"
+    cext.reset_for_tests()
+    try:
+        eng = cext.walk_engine()
+        assert (eng is not None) == (use_c and cext.chain_scan_lib()
+                                     is not None)
+        if eng is not None:
+            step = eng.fn
+
+            def probe(w, st_):
+                rc = step(w, st_)
+                codes.add(rc)
+                return rc
+
+            eng.fn = probe
+        sim = FastReplaySimulator(trace, config, make_schedule(),
+                                  verify=False, **kw)
+        out = _outcome(sim.run)
+        if out[0] == "ok":
+            # Only a power-cycle-cap or reach-buffer stop re-walks in Python.
+            assert sim.walker == ("c" if eng is not None else "python") or (
+                cext.BW_FALLBACK in codes
+            )
+        return out
+    finally:
+        if saved is None:
+            del os.environ["REPRO_CEXT"]
+        else:
+            os.environ["REPRO_CEXT"] = saved
+        cext.reset_for_tests()
+
+
+def _check_differential(case, codes=None):
+    """C walker == Python walker == ``simulate(verify=True)``, field by
+    field (``verified`` excepted); returns the C walk's outcome."""
+    via_c = _walk(case, True, codes)
+    via_py = _walk(case, False)
+    assert via_c == via_py
+    trace, config, make_schedule, kw = _case_inputs(case)
+    ref = _outcome(
+        lambda: simulate(trace, config, make_schedule(), verify=True, **kw)
+    )
+    fast = via_c
+    if fast[0] == "ineligible":
+        # The fast path refuses; simulate_fast's reference rerun must
+        # still match the verifying reference.
+        fast = _outcome(lambda: simulate_fast(
+            trace, config, make_schedule(), verify=False, **kw
+        ))
+    assert fast[0] == ref[0]
+    if ref[0] == "ok":
+        assert ref[1].pop("verified") and not fast[1].pop("verified")
+    assert fast == ref
+    return via_c
+
+
+class TestWalkerDifferential:
+    """Generated (trace, config, watchdogs, marking, schedule) inputs: the
+    C section walk, the Python walker and the verifying reference agree."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_cases)
+    @example(case=_FIXED_CASES["unsafe_cut"])
+    @example(case=_FIXED_CASES["refill"])
+    @example(case=_FIXED_CASES["tiny_refill"])
+    @example(case=_FIXED_CASES["safe_cut"])
+    @example(case=_FIXED_CASES["stall_walk"])
+    @example(case=_FIXED_CASES["stall_restart"])
+    # Shrunk counterexamples: same-length synthetic programs, which
+    # shared one SectionMap until each program got its own trace name.
+    @example(case=(((READ, 0),) * 8, (8, 0, 4, 4), 19, 0, 0, False, "pi", 0,
+                   ("exp", 40, 0), None))
+    @example(case=(((READ, 0),) * 7, (1, 0, 0, 0), 0, 0, 20, False, "none",
+                   0, ("exp", 40, 0), 18))
+    def test_walkers_agree_with_reference(self, case):
+        _check_differential(case)
+
+    def test_draws_past_int64_walk_in_python(self):
+        # The C walk holds on-times as int64; a schedule drawing past
+        # that range is walked by the Python walker, identically.
+        trace = get_trace("crc", "tiny")
+        config = ClankConfig.from_tuple((8, 4, 2, 0))
+        huge = ReplayPower([2 ** 70])
+        sim = FastReplaySimulator(trace, config, huge, verify=False)
+        result = sim.run().to_dict(include_derived=False)
+        assert sim.walker == "python"
+        ref = IntermittentSimulator(
+            trace, config, ReplayPower([2 ** 70]), verify=False
+        ).run()
+        assert result == ref.to_dict(include_derived=False)
+
+    @pytest.mark.parametrize("path", sorted(_FIXED_CASES))
+    def test_fixed_cases_reach_every_path(self, path):
+        if cext.chain_scan_lib() is None:
+            pytest.skip(f"C kernel unavailable: {cext.cext_status()}")
+        codes = set()
+        outcome = _check_differential(_FIXED_CASES[path], codes)
+        reached = {
+            "unsafe_cut": outcome == ("ineligible", "watchdog_cut")
+            and cext.BW_NEED_CUT in codes,
+            "off_chain_section": cext.BW_NEED_SECTION in codes,
+            "refill": cext.BW_NEED_ONTIMES in codes,
+            "tiny_refill": cext.BW_NEED_ONTIMES in codes,
+            "safe_cut": outcome[0] == "ok" and cext.BW_NEED_CUT in codes,
+            # The two max_power_cycles messages: the cap hit mid-walk, and
+            # a boot loop no on-time can get past.
+            "stall_walk": outcome[0] == "stall" and cext.BW_FALLBACK in codes
+            and "power cycles at trace position" in outcome[1],
+            "stall_restart": outcome[0] == "stall"
+            and cext.BW_FALLBACK in codes
+            and "no forward progress" in outcome[1],
+        }
+        assert reached[path], (path, outcome, codes)

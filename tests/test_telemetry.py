@@ -70,6 +70,25 @@ class TestRunRecord:
         assert d["type"] == "run"
         assert RunRecord.from_dict(d) == rec
 
+    def test_to_dict_matches_asdict_byte_for_byte(self):
+        # to_dict is a hand-written field copy; it must serialize exactly
+        # as {"type": "run", **dataclasses.asdict(rec)} did, for every
+        # field, defaults (Nones included) and set values alike.
+        full = RunRecord(
+            workload="crc", config="8,4,2,0", engine="reference",
+            fallback_reason="verify", kernel="python", result_cache="miss",
+            size="tiny", salt=3, driver="fig5", stalled=True, rows=4,
+            wall_s=0.25, t_start=1.5, worker=1234, index=7,
+        )
+        bare = RunRecord(workload="crc", config="1,0,0,0", engine="fast")
+        assert bare.fallback_reason is None and bare.driver is None
+        for rec in (full, bare):
+            expected = {"type": "run"}
+            expected.update(dataclasses.asdict(rec))
+            assert json.dumps(rec.to_dict()) == json.dumps(expected)
+        names = [f.name for f in dataclasses.fields(RunRecord)]
+        assert list(full.to_dict())[1:] == names
+
     def test_from_dict_ignores_unknown_fields(self):
         rec = RunRecord.from_dict(
             {"type": "run", "workload": "crc", "config": "1,0,0,0",
@@ -142,6 +161,24 @@ class TestLedgerFile:
         assert [m["name"] for m in loaded.drivers] == ["fig5"]
         assert loaded.stable_records() == LEDGER.stable_records()
 
+    def test_write_reuses_streamed_lines(self, tmp_path):
+        # A streamed record is serialized once: write_jsonl writes the
+        # very line the stream wrote, and the file reads back the same.
+        stream = str(tmp_path / "live.jsonl")
+        LEDGER.stream_to(stream)
+        self._populate()
+        LEDGER.record(RunRecord(workload="qsort", config="8,4,2,0",
+                                engine="reference", fallback_reason="verify"))
+        LEDGER.stop_stream()
+        with open(stream) as fh:
+            streamed = fh.read().splitlines()[1:]
+        path = str(tmp_path / "ledger.jsonl")
+        LEDGER.write_jsonl(path)
+        with open(path) as fh:
+            written = fh.read().splitlines()[1:1 + len(LEDGER.records)]
+        assert written == streamed
+        assert written == [json.dumps(r.to_dict()) for r in LEDGER.records]
+
     def test_read_rejects_event_logs_with_line_number(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('{"kind": "power_failure", "t": 3}\n')
@@ -191,10 +228,22 @@ class TestDispatchCounters:
 
     def test_merge_dispatch_stats(self):
         self._run()
-        fast.merge_dispatch_stats({"fast": 2, "reasons": {"verify": 3}})
+        fast.merge_dispatch_stats({"fast": 2, "walker": {"python": 2},
+                                   "reasons": {"verify": 3}})
         stats = dispatch_stats()
         assert stats["fast"] == 3
+        assert sum(stats["walker"].values()) == 3
+        assert stats["walker"]["python"] >= 2
         assert stats["reasons"]["verify"] == 3
+
+    def test_walker_split_covers_fast_runs(self):
+        from repro.core import cext
+
+        self._run()
+        self._run(verify=True)
+        stats = dispatch_stats()
+        walker = "c" if cext.walk_engine() is not None else "python"
+        assert stats["walker"] == {"c": 0, "python": 0, walker: 1}
 
 
 class TestSweepTelemetry:
