@@ -1,13 +1,14 @@
 """Persistent content-addressed artifact cache (``repro.cache``).
 
-The expensive artifacts of a sweep — watermark tables, enumerated
-:class:`~repro.sim.sections.SectionMap` contents, compiled-trace
-arrays — are pure functions of trace content, configuration, and
-marking.  This package spills them to ``REPRO_CACHE_DIR`` so parallel
-workers share enumeration work across processes and a repeat
-evaluation starts warm.  Everything is best-effort: with the variable
-unset nothing touches the filesystem, and any I/O failure degrades to
-the in-memory behaviour the callers already have.
+The expensive artifacts of a sweep — enumerated
+:class:`~repro.sim.sections.SectionMap` contents, Program-Idempotence
+word sets, compiled-trace arrays, whole results — are pure functions
+of trace content, configuration, and marking.  This package spills
+them to ``REPRO_CACHE_DIR`` so parallel workers share enumeration work
+across processes and a repeat evaluation starts warm.  Everything is
+best-effort: with the variable unset nothing touches the filesystem,
+and any I/O failure degrades to the in-memory behaviour the callers
+already have.
 
 Public surface:
 

@@ -41,9 +41,6 @@
  * path) trace indices into dw_out — the lazy derivation behind
  * SectionMap.watchdog_cut_safe. */
 #define F_FIRST_DW 128
-/* Watermark-scan only: the configuration family has wf_entries == 0, so
- * fresh writes pass untracked and never consult the WF or the APB. */
-#define F_WF_ZERO 256
 
 /* ops[i] bits (CompiledTrace.scan_arrays): 1 write, 2 text, 4 output
  * write, 8 false write. */
@@ -344,220 +341,6 @@ int64_t chain_scan(
     }
     *gen_io = g;
     return nsec;
-}
-
-/* ------------------------------------------------------------------ *
- * Multi-configuration watermark scan.
- *
- * One pass from ``scan_from`` with *infinite* buffer capacities that
- * records, per buffer, the trace position of every occupancy-watermark
- * increase — i.e. the position where capacity ``t`` would first
- * overflow, for every ``t`` at once.  Up to the first overflow the
- * real (finite-capacity) scan takes exactly the capacity-independent
- * decisions replayed here, so a whole sweep family's section
- * boundaries derive from this single record by indexed lookup
- * (``repro.sim.watermarks``).  Configurations whose trajectory *is*
- * capacity-dependent (no-WF-overflow tolerates the overflow and keeps
- * scanning) are excluded by the caller and use chain_scan above.
- *
- * Event meanings (positions are strictly increasing per array):
- *   rf_out[t]  — first fresh-read attempt finding ``t`` RF entries
- *                (the overflow position of an RF with capacity t);
- *   wf_out[t]  — the (t+1)-th fresh-write insertion into the WF;
- *   wbb_out[t] — the (t+1)-th violation captured by the WBB (for
- *                capacity t this is the overflow; t = 0 is the plain
- *                ``violation`` boundary).  Its strict prefix below a
- *                derived boundary is the section's wbb_steps;
- *   apb_out[t] — the (t+1)-th new-prefix admission, with
- *                apb_kind_out[t] = 1 when admitted by a read (the
- *                latest-checkpoint derivation needs the side).
- *
- * The scan stops at the first structural boundary (output write, text
- * write under ignore-text, trace end), at ``stop_at`` (the caller's
- * next forced checkpoint), or as soon as the RF, APB, and WF event
- * arrays are all full (WF counts as full under F_WF_ZERO, which never
- * records) — whichever comes first.  The WBB array is deliberately NOT
- * part of the stop condition: violations can be arbitrarily rare, so
- * waiting for the WBB to fill would drag most scans all the way to the
- * next output.  Dropping it stays sound because an *unsaturated* WBB
- * array records every violation below ``scanned_to`` — a missing
- * (B+1)-th event proves the WBB trip lies at or beyond ``scanned_to``,
- * which the caller's ``winner < scanned_to`` proof already excludes —
- * and a saturated one is guarded by the caller's ``pos <= last event``
- * check.  meta_out reports how far the scan got so the caller can
- * prove a derived minimum correct or rescan with larger limits.
- * ------------------------------------------------------------------ */
-
-/* meta_out[7] completion codes. */
-#define WM_EARLY 0      /* all event arrays full before any end */
-#define WM_STRUCT 1     /* reached output/text/trace-end boundary */
-#define WM_STOP_AT 2    /* reached stop_at */
-
-int64_t watermark_scan(
-    const uint8_t *ops,      /* [n] per-access op bits */
-    const int32_t *wids,     /* [n] dense word ids */
-    const int32_t *pids,     /* [n] dense prefix ids or NULL */
-    const uint8_t *pi,       /* [n] PI membership mask or NULL */
-    int32_t n,
-    int32_t scan_from,
-    int32_t stop_at,         /* exclusive scan bound (next forced) */
-    int32_t rf_slots,
-    int32_t wf_slots,
-    int32_t wbb_slots,
-    int32_t apb_slots,
-    int32_t flags,
-    int32_t *rf_g,           /* [n_words] generation-stamp scratch */
-    int32_t *wf_g,           /* [n_words] */
-    int32_t *wbb_g,          /* [n_words] */
-    int32_t *apb_g,          /* [n_prefixes] */
-    int32_t *gen_io,         /* [1] generation counter, persists */
-    int32_t *rf_out,         /* [rf_slots] */
-    int32_t *wf_out,         /* [wf_slots] */
-    int32_t *wbb_out,        /* [wbb_slots] */
-    int32_t *apb_out,        /* [apb_slots] */
-    uint8_t *apb_kind_out,   /* [apb_slots] 1 = read-side admission */
-    int32_t *meta_out)       /* [8]: n_rf, n_wf, n_wbb, n_apb,
-                                scanned_to, struct_pos, struct_cause,
-                                complete */
-{
-    const int apb_on = flags & F_APB_ON;
-    const int ignore_text = flags & F_IGNORE_TEXT;
-    const int ig_fw = flags & F_IGNORE_FALSE_WRITES;
-    const int rm_dup = flags & F_REMOVE_DUPLICATES;
-    const int has_pi = flags & F_HAS_PI;
-    const int wf_zero = flags & F_WF_ZERO;
-
-    int32_t g = ++(*gen_io);
-    int32_t rf_len = 0; /* live RF occupancy (rm_dup decrements it) */
-    int32_t n_rf = 0, n_wf = 0, n_wbb = 0, n_apb = 0;
-    int32_t bound = stop_at < n ? stop_at : n;
-    int32_t struct_pos = -1;
-    int32_t struct_cause = 0;
-    int32_t complete = WM_EARLY;
-    int32_t i = scan_from;
-
-#define WM_ALL_FULL (n_rf == rf_slots && n_apb == apb_slots && \
-                     (wf_zero || n_wf == wf_slots))
-
-    if (WM_ALL_FULL) {
-        complete = WM_EARLY;
-        goto done;
-    }
-    for (; i < bound; i++) {
-        uint8_t op = ops[i];
-        if (op & 1) {
-            /* Write. */
-            if (op & 4) {
-                struct_pos = i;
-                struct_cause = CAUSE_OUTPUT;
-                complete = WM_STRUCT;
-                goto done;
-            }
-            if (has_pi && pi[i])
-                continue;
-            if (ignore_text && (op & 2)) {
-                struct_pos = i;
-                struct_cause = CAUSE_TEXT_WRITE;
-                complete = WM_STRUCT;
-                goto done;
-            }
-            int32_t v = wids[i];
-            if (wbb_g[v] == g)
-                continue; /* in-place update */
-            if (wf_g[v] == g)
-                continue;
-            if (rf_g[v] == g) {
-                /* Idempotency violation. */
-                if (ig_fw && (op & 8))
-                    continue;
-                if (n_wbb < wbb_slots)
-                    wbb_out[n_wbb++] = i;
-                wbb_g[v] = g;
-                if (rm_dup) {
-                    rf_g[v] = 0;
-                    rf_len--;
-                }
-                continue; /* WBB events never complete the stop rule */
-            }
-            /* Fresh address: write-dominated. */
-            if (wf_zero)
-                continue; /* untracked; WF and APB never consulted */
-            if (apb_on) {
-                int32_t p = pids[i];
-                if (apb_g[p] != g) {
-                    if (n_apb < apb_slots) {
-                        apb_out[n_apb] = i;
-                        apb_kind_out[n_apb] = 0;
-                        n_apb++;
-                    }
-                    apb_g[p] = g;
-                }
-            }
-            if (n_wf < wf_slots)
-                wf_out[n_wf++] = i;
-            wf_g[v] = g;
-            if (WM_ALL_FULL) {
-                i++;
-                goto done_early;
-            }
-            continue;
-        }
-        /* Read. */
-        if (has_pi && pi[i])
-            continue;
-        if (ignore_text && (op & 2))
-            continue;
-        int32_t v = wids[i];
-        if (rf_g[v] == g || wbb_g[v] == g || wf_g[v] == g)
-            continue;
-        /* Fresh read: RF insertion attempt with pre-length rf_len.
-         * The watermark grows one step at a time, so a new maximum is
-         * exactly rf_len == n_rf. */
-        if (apb_on) {
-            int32_t p = pids[i];
-            if (apb_g[p] != g) {
-                if (n_apb < apb_slots) {
-                    apb_out[n_apb] = i;
-                    apb_kind_out[n_apb] = 1;
-                    n_apb++;
-                }
-                apb_g[p] = g;
-            }
-        }
-        if (rf_len == n_rf && n_rf < rf_slots)
-            rf_out[n_rf++] = i;
-        rf_g[v] = g;
-        rf_len++;
-        if (WM_ALL_FULL) {
-            i++;
-            goto done_early;
-        }
-    }
-    if (bound == stop_at && stop_at <= n) {
-        struct_pos = stop_at;
-        struct_cause = CAUSE_COMPILER;
-        complete = WM_STOP_AT;
-    } else {
-        struct_pos = n;
-        struct_cause = CAUSE_FINAL;
-        complete = WM_STRUCT;
-    }
-    goto done;
-done_early:
-    complete = WM_EARLY;
-done:
-#undef WM_ALL_FULL
-    *gen_io = g;
-    meta_out[0] = n_rf;
-    meta_out[1] = n_wf;
-    meta_out[2] = n_wbb;
-    meta_out[3] = n_apb;
-    meta_out[4] = (complete == WM_EARLY) ? i
-                : (complete == WM_STOP_AT) ? stop_at : struct_pos;
-    meta_out[5] = struct_pos;
-    meta_out[6] = struct_cause;
-    meta_out[7] = complete;
-    return 0;
 }
 
 /* ------------------------------------------------------------------ *
@@ -876,7 +659,7 @@ static int bw_lookup(const int64_t *w, int64_t *st, int64_t key,
     return 0;
 }
 
-int64_t batch_walk(const int64_t *w, int64_t *st)
+int64_t section_walk(const int64_t *w, int64_t *st)
 {
     const int64_t *gcum = (const int64_t *)(intptr_t)w[W_GCUM];
     const int64_t base_ck = w[W_BASE_CK];

@@ -27,7 +27,7 @@ through :mod:`ctypes`.  It is strictly optional infrastructure:
   take plain int32/int64 buffers, built from the standard library only.
 
 ``cext_status()`` reports which path a process ended up on (tests and the
-CI equivalence jobs pin both paths explicitly).
+CI equivalence matrix pin both paths explicitly).
 """
 
 import ctypes
@@ -57,12 +57,6 @@ F_NO_WF_OVERFLOW = 16
 F_LATEST_CHECKPOINT = 32
 F_HAS_PI = 64
 F_FIRST_DW = 128
-F_WF_ZERO = 256
-
-#: Mirrors the WM_* completion codes in _chainscan.c (watermark_scan).
-WM_EARLY = 0
-WM_STRUCT = 1
-WM_STOP_AT = 2
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_chainscan.c")
 
@@ -134,21 +128,6 @@ def _build() -> Optional[ctypes.CDLL]:
         p,                                  # dw_out (F_FIRST_DW)
     )
     try:
-        wm = lib.watermark_scan
-    except AttributeError as exc:  # pragma: no cover - stale .so only
-        _status = f"load failed: {exc}"
-        return None
-    wm.restype = ctypes.c_int64
-    wm.argtypes = (
-        p, p, p, p,                         # ops, wids, pids, pi
-        c_i32, c_i32, c_i32,                # n, scan_from, stop_at
-        c_i32, c_i32, c_i32, c_i32,         # slots
-        c_i32,                              # flags
-        p, p, p, p, p,                      # scratch + gen
-        p, p, p, p, p,                      # event outputs
-        p,                                  # meta_out
-    )
-    try:
         fam = lib.family_chain_scan
     except AttributeError as exc:  # pragma: no cover - stale .so only
         _status = f"load failed: {exc}"
@@ -167,7 +146,7 @@ def _build() -> Optional[ctypes.CDLL]:
         p, p,                               # out_nev, out_nst
     )
     try:
-        bw = lib.batch_walk
+        bw = lib.section_walk
     except AttributeError as exc:  # pragma: no cover - stale .so only
         _status = f"load failed: {exc}"
         return None
@@ -293,83 +272,6 @@ class ChainScanEngine:
         dw = self.out_dw
         k = dw[0]
         return tuple(dw[1:k + 1]) if k else ()
-
-
-class WatermarkEngine:
-    """Prebound ctypes arguments for one family's watermark scans.
-
-    One engine per :class:`repro.sim.watermarks.WatermarkFamily`: the
-    per-trace input buffers and the generation scratch are prebound,
-    and the event output buffers are engine-owned and grow-only — a
-    :meth:`scan` call allocates nothing but the compact event copies
-    its record keeps.  Scans are frequent (one per distinct section
-    start in a family), so the per-call overhead matters.
-    """
-
-    __slots__ = ("_fn", "_pre", "_flags", "_keep", "_out", "_out_slots")
-
-    def __init__(self, lib, ct, text_lo, text_hi, shift,
-                 pi_words, pi_indices, flags):
-        ops_b, wids_b, n_words = ct.scan_buffers(text_lo, text_hi)
-        pids_b, n_prefixes = ct.prefix_buffers(shift)
-        flags |= F_APB_ON
-        if pi_words or pi_indices:
-            flags |= F_HAS_PI
-            pi_b = ct.pi_mask_buffer(pi_words, pi_indices)
-            pi_addr = _addr(pi_b)
-        else:
-            pi_b = None
-            pi_addr = 0
-        gen_b, rf_b, wf_b, wbb_b, apb_b = ct.c_chain_scratch(
-            n_words if n_words else 1, shift, n_prefixes
-        )
-        self._fn = lib.watermark_scan
-        self._flags = flags
-        self._pre = (
-            _addr(ops_b) if ct.n else 0,
-            _addr(wids_b) if ct.n else 0,
-            _addr(pids_b) if ct.n else 0,
-            pi_addr,
-            ct.n,
-            _addr(rf_b), _addr(wf_b), _addr(wbb_b), _addr(apb_b),
-            _addr(gen_b),
-        )
-        # Buffer lifetimes: the arrays must outlive this engine.
-        self._keep = (ops_b, wids_b, pids_b, pi_b,
-                      gen_b, rf_b, wf_b, wbb_b, apb_b)
-        self._out = None
-        self._out_slots = 0
-
-    def scan(self, scan_from, stop_at, rf_slots, wf_slots,
-             wbb_slots, apb_slots):
-        """One watermark pass; returns the raw record tuple
-        ``(rf, wf, wbb, apb, apb_kind, scanned_to, struct_pos,
-        struct_cause, complete)`` with the event arrays sliced to
-        their actual counts."""
-        top = max(rf_slots, wf_slots, wbb_slots, apb_slots, 1)
-        if top > self._out_slots:
-            self._out_slots = top
-            self._out = (
-                array("i", bytes(4 * top)), array("i", bytes(4 * top)),
-                array("i", bytes(4 * top)), array("i", bytes(4 * top)),
-                array("B", bytes(top)), array("i", bytes(4 * 8)),
-            )
-        rf_o, wf_o, wbb_o, apb_o, apb_k, meta = self._out
-        a = self._pre
-        self._fn(
-            a[0], a[1], a[2], a[3], a[4],
-            scan_from, stop_at,
-            rf_slots, wf_slots, wbb_slots, apb_slots,
-            self._flags,
-            a[5], a[6], a[7], a[8], a[9],
-            _addr(rf_o), _addr(wf_o), _addr(wbb_o),
-            _addr(apb_o), _addr(apb_k), _addr(meta),
-        )
-        return (
-            rf_o[:meta[0]], wf_o[:meta[1]], wbb_o[:meta[2]],
-            apb_o[:meta[3]], apb_k[:meta[3]],
-            meta[4], meta[5], meta[6], meta[7],
-        )
 
 
 #: Member limit per batched family kernel call (chunking bound; the
@@ -519,7 +421,7 @@ class FamilyScanEngine:
 
 
 # --------------------------------------------------------------------- #
-# The section walk (batch_walk).
+# The section walk (section_walk).
 # --------------------------------------------------------------------- #
 
 #: Checkpoint causes the walk counts: the chain-scan causes plus the two
@@ -576,7 +478,7 @@ _pack_side = struct.Struct("7q").pack_into
 
 
 class WalkEngine:
-    """Reusable buffers and prebound ctypes arguments for ``batch_walk``.
+    """Reusable buffers and prebound ctypes arguments for ``section_walk``.
 
     One engine per thread (:func:`walk_engine`) serves every walk: the
     parameter block, walk state, reach buffer, on-time buffer and side
@@ -594,7 +496,7 @@ class WalkEngine:
                  "snsteps", "ssteps", "_reach_addr")
 
     def __init__(self, lib):
-        self.fn = lib.batch_walk
+        self.fn = lib.section_walk
         self.w = array("q", bytes(8 * BW_NPARAMS))
         self.st = array("q", bytes(8 * BW_NSLOTS))
         self.reach = array("q", bytes(16 * REACH_CAP))

@@ -54,6 +54,26 @@ def family_configs(family: str) -> List[ClankConfig]:
 FAMILIES = ("R", "R+W", "R+W+B", "R+W+B+A", "R+W+B+A+C")
 
 
+def sweep_keys() -> List[Tuple[int, int, int, int, bool]]:
+    """The distinct ``(rf, wf, wbb, apb, use_compiler)`` points of the
+    sweep, in first-seen family order.
+
+    Families share grid points, so this de-duplicates them — keyed by the
+    entry-count *tuple*, not the label string, so distinct compositions
+    can never collide.
+    """
+    keys: List[Tuple[int, int, int, int, bool]] = []
+    seen = set()
+    for family in FAMILIES:
+        use_compiler = family.endswith("+C")
+        for config in family_configs(family.replace("+C", "")):
+            key = config.as_tuple() + (use_compiler,)
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+    return keys
+
+
 @dataclass
 class Fig5Data:
     """Per-family Pareto frontiers of (buffer bits, avg checkpoint
@@ -76,11 +96,8 @@ def run(
 ) -> Fig5Data:
     """Sweep all families over the benchmark suite (sweep-size traces).
 
-    Families share grid points, so the sweep first de-duplicates the
-    (composition, compiler) pairs — keyed by the entry-count *tuple*, not
-    the label string, so distinct compositions can never collide — then
-    runs one benchmark-suite job batch per unique pair through the
-    parallel engine.
+    One benchmark-suite job batch per unique (composition, compiler)
+    pair (:func:`sweep_keys`) runs through the parallel engine.
 
     With ``seeds > 1`` a *frontier refinement* pass follows: the full
     grid at 100 seeds would be ~1.3M simulator runs, so the standard
@@ -92,15 +109,7 @@ def run(
     samples behind each interval.
     """
     names = mibench2_names()
-    keys: List[Tuple[int, int, int, int, bool]] = []
-    seen = set()
-    for family in FAMILIES:
-        use_compiler = family.endswith("+C")
-        for config in family_configs(family.replace("+C", "")):
-            key = config.as_tuple() + (use_compiler,)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
+    keys = sweep_keys()
     jobs = [
         SimJob(
             workload=name,

@@ -213,9 +213,8 @@ _EPOCH_CACHE: Dict[tuple, object] = {}
 
 def _epoch_plan(trace, epoch_cycles: int):
     from repro.compiler.epoch_analysis import compile_with_epochs
-    from repro.eval.runner import _trace_key
 
-    key = _trace_key(trace) + (epoch_cycles,)
+    key = (trace.compiled().content_key, epoch_cycles)
     if key not in _EPOCH_CACHE:
         _EPOCH_CACHE[key] = compile_with_epochs(trace, epoch_cycles)
     return _EPOCH_CACHE[key]
@@ -238,7 +237,7 @@ _FAMILY_PLANS: Dict[tuple, Tuple[list, dict]] = {}
 _FAMILY_CHUNK = 32
 
 #: Slack added to the auto-sized SectionMap LRU capacity (maps built
-#: outside any plan: tests, ad-hoc run_clank calls, watermark probes).
+#: outside any plan: tests and ad-hoc run_clank calls).
 _FAMILY_LRU_SLACK = 256
 
 

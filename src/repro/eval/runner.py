@@ -17,17 +17,13 @@ from repro.trace.trace import Trace
 from repro.workloads.cache import get_trace
 from repro.workloads.registry import mibench2_names
 
-#: Cache of per-trace Program-Idempotence profiles, keyed by trace *content*
-#: (name, access count, total cycles, checksum).  Keying by ``id(trace)``
-#: would be wrong twice over: a garbage-collected trace's id can be reused
-#: by a fresh object (silently returning another trace's profile), and the
-#: mapping would grow without bound across sweeps.
-_PI_CACHE: Dict[Tuple[str, int, int, int], frozenset] = {}
-
-
-def _trace_key(trace: Trace) -> Tuple[str, int, int, int]:
-    """A content-derived cache key for ``trace``."""
-    return (trace.name, len(trace.accesses), trace.total_cycles, trace.checksum)
+#: Cache of per-trace Program-Idempotence profiles, keyed by trace
+#: *content* (:attr:`~repro.trace.trace.CompiledTrace.content_key`, which
+#: hashes the access stream).  Keying by ``id(trace)`` would be wrong
+#: twice over: a garbage-collected trace's id can be reused by a fresh
+#: object (silently returning another trace's profile), and the mapping
+#: would grow without bound across sweeps.
+_PI_CACHE: Dict[tuple, frozenset] = {}
 
 
 def pi_words_for(trace: Trace) -> frozenset:
@@ -36,7 +32,7 @@ def pi_words_for(trace: Trace) -> frozenset:
     Backed by the persistent artifact store when ``REPRO_CACHE_DIR`` is
     set: the profile is a pure function of trace content, so a warm
     worker skips the whole-trace idempotence walk."""
-    key = _trace_key(trace)
+    key = trace.compiled().content_key
     words = _PI_CACHE.get(key)
     if words is None:
         disk_key = None

@@ -109,8 +109,8 @@ class Profiler:
         """Merge SectionMap cache deltas (the fast replay path of
         :mod:`repro.sim.sections`) — from parallel worker payloads, or from
         the in-process counters after a serial sweep.  ``disk_loads`` counts
-        map/watermark families rebuilt from the persistent artifact cache
-        rather than enumerated, so the table can split "warm from memory" /
+        maps rebuilt from the persistent artifact cache rather than
+        enumerated, so the table can split "warm from memory" /
         "warm from disk" / "cold".  ``rebuilds`` counts misses whose key
         was evicted earlier (real LRU thrash, as opposed to first-touch
         cold builds); the ``family_*`` arguments surface config-family
@@ -285,7 +285,7 @@ class Profiler:
         if self.section_enum_seconds:
             lines.append(
                 f"-- section enumeration: {self.section_enum_seconds:9.3f}s "
-                f"(chain/watermark scans inside section-map builds)"
+                f"(chain scans inside section-map builds)"
             )
         if (self.disk_cache_hits or self.disk_cache_misses
                 or self.disk_cache_puts):

@@ -111,7 +111,7 @@ class StructuredLog:
 
 
 def configure_from_env() -> bool:
-    """Enable :data:`SLOG` from ``REPRO_SLOG`` / ``REPRO_SLOW_MS``;
+    """Enable :data:`SLOG` from ``REPRO_SLOG`` / ``REPRO_SLOG_SLOW_MS``;
     returns whether logging ended up enabled.  Called by the serve and
     eval CLIs at startup."""
     sink = os.environ.get("REPRO_SLOG", "").strip()

@@ -74,10 +74,10 @@ class FallbackReason(Enum):
     """Why :func:`repro.sim.fast.simulate_fast` ran the reference simulator.
 
     The first five mirror the eligibility checks documented in
-    :mod:`repro.sim.fast`; ``DISABLED`` is the ``REPRO_FAST=0`` escape
-    hatch.  The last two only ever route a whole batch
-    (:func:`repro.sim.batch.simulate_batch`) to the scalar engines:
-    ``REPRO_BATCH=0``, and a live architecture collector.
+    :mod:`repro.sim.fast`.  ``ARCH_COLLECTOR`` only ever routes a whole
+    batch (:func:`repro.sim.batch.simulate_batch`) to the scalar engines.
+    Ledgers store reasons as plain strings, so records written with
+    since-retired reasons still parse.
     """
 
     VERIFY = "verify"
@@ -85,8 +85,6 @@ class FallbackReason(Enum):
     VOLATILE_RANGES = "volatile_ranges"
     PI_HAZARD = "pi_hazard"
     WATCHDOG_CUT = "watchdog_cut"
-    DISABLED = "disabled"
-    BATCH_DISABLED = "batch_disabled"
     ARCH_COLLECTOR = "arch_collector"
 
 
@@ -112,7 +110,7 @@ class RunRecord:
         kernel: Chain-scan kernel available to the fast path (``c`` or
             ``python``); ``None`` for runs that never enumerate sections.
             With ``c`` the fast path's section walk also runs in C
-            (``batch_walk``), except under a live architecture collector,
+            (``section_walk``), except under a live architecture collector,
             which walks in Python; ``engine`` stays ``fast`` either way,
             and :func:`repro.sim.fast.dispatch_stats` counts the walkers.
         result_cache: Whole-result disk-cache tier outcome — ``hit``,

@@ -4,7 +4,7 @@ A Monte Carlo sweep replays the same ``(trace, config)`` under many power
 schedules.  This module replays a whole *schedule matrix*
 (:class:`~repro.power.schedules.ScheduleBatch`, N rows x on-time columns)
 against one shared :class:`~repro.sim.sections.SectionMap`: each row runs
-to completion inside the C section walk (``batch_walk`` in
+to completion inside the C section walk (``section_walk`` in
 ``_chainscan.c``, driven exactly as :mod:`repro.sim.fast` drives a scalar
 run), reading its on-times straight out of the matrix row.  Each row is
 therefore bit-identical to a scalar :func:`~repro.sim.fast.simulate_fast`
@@ -13,9 +13,9 @@ call at that row's seed — the equivalence grid in
 optimizations, PI marking, and both chain-scan kernels.
 
 Fallback.  Whole-batch ineligibility (:func:`~repro.sim.fast.
-fallback_reason` with ``batch=True``: ``REPRO_BATCH=0``/``REPRO_FAST=0``,
-a live architecture collector, ``verify=True``, a live recorder, volatile
-ranges, the static PI hazard) routes every row through scalar
+fallback_reason` with ``batch=True``: a live architecture collector,
+``verify=True``, a live recorder, volatile ranges, the static PI hazard)
+routes every row through scalar
 :func:`simulate_fast`, as does a process without the C kernel (reason
 ``no-cext``: each row then walks on the Python walker).  *Per-row*
 conditions — an unprovable watchdog cut
@@ -37,11 +37,9 @@ except ImportError:  # pragma: no cover - exercised via tests' import block
 
 from repro.common.errors import SimulationError
 from repro.core import cext
-from repro.obs.telemetry import FallbackReason
 from repro.power.schedules import ScheduleBatch
 from repro.sim.fast import (
     drive_walk,
-    env_enabled,
     fallback_reason,
     section_map_for,
     simulate_fast,
@@ -54,7 +52,6 @@ from repro.sim.simulator import IntermittentSimulator
 __all__ = [
     "BatchResult",
     "BatchReplaySimulator",
-    "batch_enabled",
     "batch_stats",
     "merge_batch_stats",
     "numpy_available",
@@ -71,11 +68,6 @@ def numpy_available() -> bool:
 
 #: 95% normal-approximation half-width multiplier.
 _Z95 = 1.959963984540054
-
-
-def batch_enabled() -> bool:
-    """The ``REPRO_BATCH`` escape hatch (default on; off without NumPy)."""
-    return np is not None and env_enabled("REPRO_BATCH")
 
 
 # --------------------------------------------------------------------- #
@@ -274,9 +266,6 @@ def _count_fallback(reason: str, rows: int = 1) -> None:
     reasons[reason] = reasons.get(reason, 0) + rows
 
 
-#: Batch reason strings that differ from their scalar FallbackReason.
-_BATCH_REASON = {FallbackReason.DISABLED: "fast_disabled"}
-
 #: Whole-batch reason when the C kernel is unavailable: every row walks
 #: on the scalar Python walker instead.
 NO_CEXT = "no-cext"
@@ -310,7 +299,7 @@ def simulate_batch(
         # verify defaults to True, as in IntermittentSimulator: a caller
         # that never opted out of the dynamic verifier gets the verifying
         # reference engine, exactly as simulate_fast would dispatch.
-        whole_batch_reason = _BATCH_REASON.get(reason, reason.value)
+        whole_batch_reason = reason.value
     else:
         eng = cext.walk_engine()
         whole_batch_reason = NO_CEXT

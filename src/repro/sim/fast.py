@@ -16,7 +16,7 @@ output counts — at a per-run cost proportional to the number of *section
 attempts* rather than the number of accesses.
 
 Two walkers.  Whenever the C kernel loads (:mod:`repro.core.cext`) and no
-architecture collector is live, the walk runs in C (``batch_walk``): it
+architecture collector is live, the walk runs in C (``section_walk``): it
 reads the SectionMap's flat section tables in place and returns to Python
 only for more schedule on-times, a section the tables lack, or a
 ``watchdog_cut_safe`` verdict.  The Python walker (:meth:`FastReplay
@@ -50,11 +50,8 @@ one eligibility chain the batch engine shares):
   failed-cycle reaches) — the walk then aborts and the reference
   simulator re-runs the schedule (bit-identical: every schedule re-seeds
   itself on ``reset()``).
-
-Set ``REPRO_FAST=0`` to disable the fast path entirely.
 """
 
-import os
 import struct
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
@@ -119,18 +116,6 @@ class FastPathIneligible(Exception):
         super().__init__(detail or reason.value)
 
 
-def env_enabled(name: str) -> bool:
-    """An on-by-default ``REPRO_*`` escape hatch (``0/off/false/no``)."""
-    return os.environ.get(name, "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
-def fast_path_enabled() -> bool:
-    """The ``REPRO_FAST`` escape hatch (default on)."""
-    return env_enabled("REPRO_FAST")
-
-
 def section_map_for(sim) -> SectionMap:
     """The shared SectionMap of a simulator's run (memoized on it)."""
     smap = sim.__dict__.get("_smap")
@@ -157,16 +142,11 @@ def fallback_reason(sim, batch: bool = False) -> Optional[FallbackReason]:
     """Why ``sim`` cannot run on the section walk, or None if it can.
 
     The one eligibility chain of the scalar and batched fast paths, in
-    order: ``REPRO_BATCH=0`` (batch only), ``REPRO_FAST=0``, a live
-    architecture collector (batch only: the scalar walk instruments
-    itself), ``verify``, a live recorder, volatile ranges, the static PI
-    hazard.  The SectionMap is looked up only when every cheaper check
-    passes.
+    order: a live architecture collector (batch only: the scalar walk
+    instruments itself), ``verify``, a live recorder, volatile ranges,
+    the static PI hazard.  The SectionMap is looked up only when every
+    cheaper check passes.
     """
-    if batch and not env_enabled("REPRO_BATCH"):
-        return FallbackReason.BATCH_DISABLED
-    if not fast_path_enabled():
-        return FallbackReason.DISABLED
     if batch and ARCH_COLLECTOR.enabled:
         return FallbackReason.ARCH_COLLECTOR
     if sim.verify:

@@ -53,7 +53,7 @@ i.e. after a rollback past a direct-committed write.  Two cases exist:
 
 import os
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import OrderedDict
 from itertools import repeat
 from time import perf_counter
@@ -73,8 +73,6 @@ from repro.core.detector import (
     IdempotencyDetector,
     family_chain_scan_py,
 )
-from repro.sim import watermarks
-from repro.trace.access import READ
 from repro.trace.trace import Trace
 
 #: Boundary kinds — they differ in how power failure interacts with the
@@ -128,9 +126,8 @@ class SectionMap:
 
     __slots__ = (
         "ct", "n", "pi_words", "pi_indices", "forced", "_forced_sorted",
-        "_forced_set", "_detector", "_sections", "pi_hazard",
-        "_scratch", "_dw_cache", "_dw_groups", "_arch_cache", "_engine",
-        "_family", "_caps", "_latest", "_nwf", "_disk_key", "_loaded_n",
+        "_detector", "_sections", "pi_hazard", "_scratch", "_dw_cache",
+        "_dw_groups", "_arch_cache", "_engine", "_disk_key", "_loaded_n",
         "_flat", "_flat_idx", "_mat_n", "_mat_all", "_flat_persisted",
     )
 
@@ -152,7 +149,6 @@ class SectionMap:
         # A compiler checkpoint at index n never fires: the final
         # checkpoint precedes the forced check in the replay loop.
         self._forced_sorted = sorted(f for f in forced if f < ct.n)
-        self._forced_set = frozenset(self._forced_sorted)
         self._detector = IdempotencyDetector(
             config, trace.memory_map.text_word_range
         )
@@ -178,18 +174,6 @@ class SectionMap:
             and bool(self.pi_indices)
             and ct.pi_write_hazard(self.pi_words, self.pi_indices)
         )
-        #: The watermark family this configuration can derive its
-        #: boundaries from (None: ineligible or disabled — every section
-        #: then falls back to the per-config chain scan).
-        self._family = watermarks.get_family(
-            trace, config, self.pi_words, self.pi_indices
-        )
-        self._caps = (
-            config.rf_entries, config.wf_entries, config.wbb_entries,
-            config.apb_entries,
-        )
-        self._latest = opts.latest_checkpoint
-        self._nwf = opts.no_wf_overflow
         #: Flat canonical-chain storage installed by a family scan (or a
         #: disk load of one): ``(keys, ends, cause_ids, steps_off,
         #: steps)`` parallel arrays sorted by key.  The first ``section()``
@@ -253,21 +237,13 @@ class SectionMap:
                 sec = self._sections.get(key)
                 if sec is not None:
                     return sec
-            fam = self._family
-            if fam is not None and fam.active:
-                sec = self._derive_section(start, variant)
-            if sec is not None:
-                self._sections[key] = sec
-            else:
-                # No family, a self-deactivated one, or a per-section
-                # no-WF-overflow fallback: batched chain scan.
-                t0 = perf_counter()
-                self._ingest_chain(start, variant)
-                if key not in self._sections:
-                    # The canonical chain went to flat storage.
-                    self._materialize_all()
-                _ENUM_SECONDS += perf_counter() - t0
-                sec = self._sections[key]
+            t0 = perf_counter()
+            self._ingest_chain(start, variant)
+            if key not in self._sections:
+                # The canonical chain went to flat storage.
+                self._materialize_all()
+            _ENUM_SECONDS += perf_counter() - t0
+            sec = self._sections[key]
             if self._disk_key is not None:
                 _DIRTY.add(self)
         return sec
@@ -291,16 +267,10 @@ class SectionMap:
                 sec = self._flat_get(key)
                 if sec is not None:
                     return sec
-            fam = self._family
-            if fam is not None and fam.active:
-                sec = self._derive_section(start, variant)
-            if sec is not None:
-                self._sections[key] = sec
-            else:
-                t0 = perf_counter()
-                self._ingest_chain(start, variant)
-                _ENUM_SECONDS += perf_counter() - t0
-                sec = self._sections.get(key) or self._flat_get(key)
+            t0 = perf_counter()
+            self._ingest_chain(start, variant)
+            _ENUM_SECONDS += perf_counter() - t0
+            sec = self._sections.get(key) or self._flat_get(key)
             if self._disk_key is not None:
                 _DIRTY.add(self)
         return sec
@@ -319,34 +289,6 @@ class SectionMap:
             idx = dict(zip(keys, range(len(keys))))
             self._flat_idx = idx
         return idx
-
-    def _derive_section(self, start: int, variant: int) -> Optional[Section]:
-        """Derive one section from the watermark family (no chain scan).
-
-        Mirrors the section-entry resolution of
-        :meth:`~repro.core.detector.IdempotencyDetector.straightline_chain`:
-        a normal entry at a forced index is the zero-length compiler
-        section, a direct entry starts scanning one access later, and the
-        next *active* forced checkpoint is the first one strictly after
-        ``start`` in every variant.
-
-        Returns None on a no-WF-overflow fallback (the family cannot
-        prove this boundary; see :mod:`repro.sim.watermarks`).
-        """
-        if variant == VARIANT_NORMAL and start in self._forced_set:
-            return (start, "compiler", SEC_FORCED, ())
-        fs = self._forced_sorted
-        i = bisect_right(fs, start)
-        next_forced = fs[i] if i < len(fs) else self.n + 1
-        scan_from = start + 1 if variant == VARIANT_DIRECT else start
-        r, w, b, a = self._caps
-        res = self._family.boundary(
-            scan_from, next_forced, r, w, b, a, self._latest, self._nwf
-        )
-        if res is None:
-            return None
-        end, cause, steps = res
-        return (end, cause, _KIND_BY_CAUSE.get(cause, SEC_DETECTOR), steps)
 
     def _flat_has(self, key: int) -> bool:
         """Whether the flat canonical-chain storage covers ``key``."""
@@ -806,12 +748,14 @@ def _map_key(
     pi_access_indices: Optional[FrozenSet[int]],
     forced_checkpoints: Optional[FrozenSet[int]],
 ) -> tuple:
-    """Content-derived cache key (id-reuse safe, like ``_PI_CACHE``)."""
+    """Content-derived cache key (id-reuse safe, like ``_PI_CACHE``).
+
+    Keyed by :attr:`CompiledTrace.content_key`, which hashes the access
+    stream itself: two traces that share a name, length, cycle count and
+    checksum but differ in content get different maps.
+    """
     return (
-        trace.name,
-        len(trace.accesses),
-        trace.total_cycles,
-        trace.checksum,
+        trace.compiled().content_key,
         trace.memory_map.text_word_range,
         trace.memory_map.word_range("mmio"),
         config,
@@ -887,16 +831,9 @@ def _needs_family_scan(smap: SectionMap) -> bool:
     key 0 — whether or not index 0 is a forced checkpoint, the first
     emitted section is ``(0 << 2) | variant`` with variant 0 or the
     zero-length compiler form — so ``0 in _sections`` (or flat coverage)
-    means the chain every schedule replays is already present.  Members
-    with an *active* watermark family derive per-section instead and are
-    never family-scanned.
+    means the chain every schedule replays is already present.
     """
-    if 0 in smap._sections or smap._flat is not None:
-        return False
-    fam = smap._family
-    if fam is not None and fam.active:
-        return False
-    return True
+    return 0 not in smap._sections and smap._flat is None
 
 
 def build_family(
@@ -913,11 +850,9 @@ def build_family(
     batched kernel call (:mod:`repro.core` family chain scan)
     enumerates all of their section tables — bit-identical to the
     per-config scalar scans, by construction.  Members already
-    enumerated (memory- or disk-warm) or served by an active watermark
-    family are skipped; a single remaining member degrades to the
-    scalar chain scan.  Returns the maps in ``configs`` order (the LRU
-    and disk cache are populated either way).  ``REPRO_FAMILY=0``
-    disables the batched pass (maps then enumerate lazily per config).
+    enumerated (memory- or disk-warm) are skipped; a single remaining
+    member degrades to the scalar chain scan.  Returns the maps in
+    ``configs`` order (the LRU and disk cache are populated either way).
     """
     maps = [
         get_section_map(
@@ -925,8 +860,6 @@ def build_family(
         )
         for cfg in configs
     ]
-    if os.environ.get("REPRO_FAMILY", "1") == "0":
-        return maps
     pending: List[SectionMap] = []
     seen = set()
     for m in maps:
@@ -1113,8 +1046,6 @@ def prefetch_family(
     smap = _CACHE.get(key)
     if smap is not None and not _needs_family_scan(smap):
         return
-    if os.environ.get("REPRO_FAMILY", "1") == "0":
-        return
     take = []
     for cfg in plan_configs[plan_pos:]:
         k2 = _map_key(
@@ -1156,12 +1087,11 @@ def cache_stats() -> Dict[str, float]:
 
     ``evictions`` counts maps pushed out of the in-memory LRU (silent
     thrash past ``_MAX_CACHED_MAPS`` is otherwise invisible to the
-    guards), ``disk_loads`` counts maps/families seeded from the
-    persistent artifact store, and ``enum_seconds`` is the time spent in
-    section *enumeration* proper (chain scans plus watermark scans),
-    separated from driver wall-clock for the profile table.
+    guards), ``disk_loads`` counts maps seeded from the persistent
+    artifact store, and ``enum_seconds`` is the time spent in section
+    *enumeration* proper (chain scans, scalar and family), separated
+    from driver wall-clock for the profile table.
     """
-    wm = watermarks.stats()
     return {
         "hits": _HITS,
         "misses": _MISSES,
@@ -1169,8 +1099,8 @@ def cache_stats() -> Dict[str, float]:
         "capacity": _MAX_CACHED_MAPS,
         "evictions": _EVICTIONS,
         "rebuilds": _REBUILDS,
-        "disk_loads": _DISK_LOADS + wm["disk_loads"],
-        "enum_seconds": _ENUM_SECONDS + wm["scan_seconds"],
+        "disk_loads": _DISK_LOADS,
+        "enum_seconds": _ENUM_SECONDS,
         "family_passes": _FAMILY_PASSES,
         "family_maps": _FAMILY_MAPS,
     }
@@ -1194,13 +1124,11 @@ def reset_cache_stats() -> None:
     _FAMILY_MAPS = 0
     _REBUILDS = 0
     _FAMILY_BY_TRACE.clear()
-    watermarks.reset_stats()
 
 
 def clear_cache() -> None:
-    """Drop all cached maps, pending spills, and families (tests)."""
+    """Drop all cached maps and pending spills (tests)."""
     _CACHE.clear()
     _SPILL.clear()
     _DIRTY.clear()
     _EVICTED_KEYS.clear()
-    watermarks.clear_families()

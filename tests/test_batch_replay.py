@@ -5,8 +5,8 @@ N schedules through :func:`repro.sim.batch.simulate_batch` must be
 *bit-identical*, row for row, to N scalar :func:`repro.sim.fast.
 simulate_fast` calls at the same seeds — across buffer configurations,
 policy optimizations, PI marking, both chain-scan kernels, and every
-fallback route (whole-batch ineligibility, ``REPRO_BATCH=0``, no C
-kernel, per-row reruns).  Run under ``REPRO_CEXT=0`` the same grid pins
+fallback route (whole-batch ineligibility, no C kernel, per-row
+reruns).  Run under ``REPRO_CEXT=0`` the same grid pins
 the per-row fallback: every row then walks on the scalar Python walker.
 The schedule matrix itself is pinned to the scalar generators: row ``i``
 of a :class:`~repro.power.schedules.ScheduleBatch` must equal, draw for
@@ -27,9 +27,7 @@ from repro.power.schedules import ExponentialPower
 from repro.sim.batch import (
     NO_CEXT,
     BatchResult,
-    batch_enabled,
     batch_stats,
-    numpy_available,
     reset_batch_stats,
     simulate_batch,
 )
@@ -135,15 +133,14 @@ class TestEquivalence:
             no_c = _batch(trace, config, 900, 2, 3, **_WDTS)
             assert no_c.batch_rows == 0
             assert no_c.engines == ["fast"] * 3
-            if batch_enabled():
-                assert batch_stats()["reasons"] == {NO_CEXT: 3}
+            assert batch_stats()["reasons"] == {NO_CEXT: 3}
             monkeypatch.setenv("REPRO_CEXT", "1")
             cext.reset_for_tests()
             via_c = _batch(trace, config, 900, 2, 3, **_WDTS)
         finally:
             monkeypatch.undo()
             cext.reset_for_tests()
-        if batch_enabled() and cext.walk_engine() is not None:
+        if cext.walk_engine() is not None:
             assert via_c.batch_rows == 3
         assert _batch_dicts(no_c) == _batch_dicts(via_c)
         assert _batch_dicts(no_c) == _rows(trace, config, 900, 2, 3, **_WDTS)
@@ -199,21 +196,6 @@ class TestFallback:
         assert batch.engines == ["reference", "reference"]
         assert all(r.verified for r in batch.results)
 
-    def test_repro_batch_env_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert not batch_enabled()
-        trace, config = self._setup()
-        reset_batch_stats()
-        batch = _batch(trace, config, 900, 4, 3, **_WDTS)
-        assert batch.batch_rows == 0
-        assert _batch_dicts(batch) == _rows(trace, config, 900, 4, 3,
-                                            **_WDTS)
-        stats = batch_stats()
-        assert stats["rows_fallback"] == 3
-        assert stats["reasons"].get("batch_disabled") == 3
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert batch_enabled() == numpy_available()
-
     def test_arch_collector_forces_scalar(self):
         # A live architecture collector needs the instrumented engines;
         # the batch must fall back whole and still agree row for row.
@@ -235,8 +217,6 @@ class TestFallback:
         batch = _batch(trace, config, 900, 6, 4, **_WDTS)
         stats = batch_stats()
         assert stats["rows_batched"] + stats["rows_fallback"] == 4
-        if not batch_enabled():
-            return
         if cext.walk_engine() is not None:
             assert batch.batch_rows == stats["rows_batched"] > 0
         else:

@@ -301,6 +301,25 @@ class TestSectionMapWarmLoad:
         smap.persist()  # nothing new enumerated since the last flush
         assert st.puts == puts
 
+    def test_pi_words_keyed_by_content(self, monkeypatch, tmp_path):
+        # Two traces that agree on name, length, cycles and checksum but
+        # not on content must not share a stored PI profile.
+        from repro.compiler.program_idempotence import (
+            profile_program_idempotent,
+        )
+        from repro.eval import runner
+        from repro.trace.access import READ, WRITE
+        from tests.conftest import make_trace
+
+        a = make_trace([(WRITE, 0, 1), (READ, 0), (WRITE, 1, 2), (READ, 1)])
+        b = make_trace([(READ, 0), (WRITE, 0, 1), (READ, 1), (WRITE, 1, 2)])
+        _enable(monkeypatch, tmp_path)
+        monkeypatch.setattr(runner, "_PI_CACHE", {})
+        assert runner.pi_words_for(a) == profile_program_idempotent(a)
+        runner._PI_CACHE.clear()  # force the store lookup
+        assert runner.pi_words_for(b) == profile_program_idempotent(b)
+        assert runner.pi_words_for(a) != runner.pi_words_for(b)
+
 
 class TestResultCache:
     JOB = SimJob(workload="crc", config=(8, 4, 2, 0), size="tiny")

@@ -9,7 +9,6 @@ eligible.  The optional C chain-scan kernel (:mod:`repro.core.cext`) must
 in turn be branch-identical to the pure-Python generator it ports.
 """
 
-import hashlib
 import os
 import random
 
@@ -33,7 +32,6 @@ from repro.power.schedules import (
 from repro.sim.fast import (
     FastPathIneligible,
     FastReplaySimulator,
-    fast_path_enabled,
     fast_stats,
     reset_fast_stats,
     simulate_fast,
@@ -107,8 +105,7 @@ class TestEquivalence:
         """Small-RF configs with a WBB under latest-checkpoint: sections
         enter the untracked tail with live WBB entries, and writes to the
         captured addresses must pass in place (never a latest_write
-        boundary) in the reference simulator, the chain scan, and the
-        watermark family alike."""
+        boundary) in the reference simulator and the chain scan alike."""
         trace = get_trace("rc4", "small")
         for spec in ((1, 0, 1, 0), (2, 1, 1, 0), (2, 2, 2, 0)):
             config = ClankConfig.from_tuple(spec)
@@ -238,20 +235,6 @@ class TestEligibility:
         )
         assert fast_stats() == {"fast": 0, "fallback": 1}
         assert via.to_dict() == ref.to_dict()
-
-    def test_repro_fast_env_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST", "0")
-        assert not fast_path_enabled()
-        reset_fast_stats()
-        trace = get_trace("crc", "small")
-        config = ClankConfig.from_tuple((8, 4, 0, 0))
-        simulate_fast(
-            trace, config, ExponentialPower(900, seed=1), verify=False,
-            perf_watchdog="auto", progress_watchdog="auto",
-        )
-        assert fast_stats() == {"fast": 0, "fallback": 1}
-        monkeypatch.setenv("REPRO_FAST", "1")
-        assert fast_path_enabled()
 
 
 class TestCExtension:
@@ -422,6 +405,32 @@ class TestCaches:
         trace.invalidate()
         assert trace.compiled() is not ct2
 
+    def test_same_summary_different_content_keys_apart(self):
+        # Same name, length, total cycles and checksum; different
+        # accesses.  Only the content key tells the traces apart, and
+        # the SectionMap LRU and the PI cache must both use it.
+        a = make_trace([(WRITE, 0, 1), (READ, 0), (WRITE, 1, 2), (READ, 1)])
+        b = make_trace([(READ, 0), (WRITE, 0, 1), (READ, 1), (WRITE, 1, 2)])
+        assert (a.name, len(a), a.total_cycles, a.checksum) == \
+            (b.name, len(b), b.total_cycles, b.checksum)
+        clear_cache()
+        config = ClankConfig.from_tuple((1, 0, 0, 0))
+        assert get_section_map(a, config) is not get_section_map(b, config)
+        assert pi_words_for(a) != pi_words_for(b)
+        for trace in (a, b):
+            kw = dict(pi_words=pi_words_for(trace), verify=False)
+            got = simulate_fast(trace, config, FixedPower(10 ** 6), **kw)
+            ref = IntermittentSimulator(
+                trace, config, FixedPower(10 ** 6), **kw
+            ).run()
+            assert got.to_dict() == ref.to_dict()
+        results = [
+            simulate_fast(t, config, FixedPower(10 ** 6), verify=False)
+            for t in (a, b)
+        ]
+        assert results[0].checkpoints_by_cause != \
+            results[1].checkpoints_by_cause
+
 
 class TestVolDirtyRollback:
     def test_rolled_back_volatile_words_not_billed(self):
@@ -492,10 +501,13 @@ _schedules = st.one_of(
               st.integers(0, 1000)),
     st.tuples(st.just("fixed"), st.integers(1, 600)),
 )
+_capacities = st.tuples(
+    st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from([0, 1, 4, 8]),
+    st.sampled_from([0, 1, 2, 4]), st.sampled_from([0, 2, 4]),
+)
 _cases = st.tuples(
     st.one_of(st.sampled_from(_MIBENCH), _programs),
-    st.tuples(st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from([0, 1, 4, 8]),
-              st.sampled_from([0, 1, 2, 4]), st.sampled_from([0, 2, 4])),
+    _capacities,
     st.integers(0, len(_ALL_OPTS) - 1),
     _loads,
     _loads,
@@ -527,30 +539,42 @@ _FIXED_CASES = {
 _FIXED_CASES["off_chain_section"] = _FIXED_CASES["unsafe_cut"]
 
 
+def _case_trace(source):
+    """A generated case's trace: a tiny MiBench trace or a program."""
+    if isinstance(source, str):
+        return get_trace(source, "tiny")
+    # Every generated program shares make_trace's default name, so
+    # same-length programs differ only in content: the SectionMap and PI
+    # caches must key them apart by that content.
+    return make_trace(list(source))
+
+
+def _marking_kwargs(trace, marking: str, mark_seed: int) -> dict:
+    """The compiler marking of a generated case, as simulator kwargs."""
+    if marking == "pi":
+        return dict(pi_words=pi_words_for(trace))
+    if marking == "epochs":
+        plan = compile_with_epochs(trace, 40 + mark_seed)
+        return dict(pi_access_indices=plan.ignorable,
+                    forced_checkpoints=plan.boundaries)
+    if marking == "forced":
+        n = len(trace.accesses)
+        rng = random.Random(mark_seed)
+        return dict(
+            forced_checkpoints=frozenset(rng.sample(range(n), min(n, 3)))
+        )
+    return {}
+
+
 def _case_inputs(case):
     """``(trace, config, make_schedule, kwargs)`` of a differential case."""
     (source, spec, opt_idx, perf, prog, adaptive, marking, mark_seed,
      sched, max_pc) = case
-    if isinstance(source, str):
-        trace = get_trace(source, "tiny")
-    else:
-        # The SectionMap and PI caches key traces by name, length, cycles
-        # and checksum; a per-program name keeps distinct programs apart.
-        digest = hashlib.sha1(repr(source).encode()).hexdigest()[:16]
-        trace = make_trace(list(source), name=f"micro-{digest}")
+    trace = _case_trace(source)
     config = ClankConfig.from_tuple(spec, _ALL_OPTS[opt_idx])
     kw = dict(perf_watchdog=perf, progress_watchdog=prog,
               progress_watchdog_adaptive=adaptive, max_power_cycles=max_pc)
-    n = len(trace.accesses)
-    rng = random.Random(mark_seed)
-    if marking == "pi":
-        kw["pi_words"] = pi_words_for(trace)
-    elif marking == "epochs":
-        plan = compile_with_epochs(trace, 40 + mark_seed)
-        kw["pi_access_indices"] = plan.ignorable
-        kw["forced_checkpoints"] = plan.boundaries
-    elif marking == "forced":
-        kw["forced_checkpoints"] = frozenset(rng.sample(range(n), min(n, 3)))
+    kw.update(_marking_kwargs(trace, marking, mark_seed))
 
     def make_schedule():
         if sched[0] == "exp":
@@ -646,7 +670,8 @@ class TestWalkerDifferential:
     @example(case=_FIXED_CASES["stall_walk"])
     @example(case=_FIXED_CASES["stall_restart"])
     # Shrunk counterexamples: same-length synthetic programs, which
-    # shared one SectionMap until each program got its own trace name.
+    # shared one SectionMap while the caches keyed traces by name,
+    # length, cycles and checksum instead of content.
     @example(case=(((READ, 0),) * 8, (8, 0, 4, 4), 19, 0, 0, False, "pi", 0,
                    ("exp", 40, 0), None))
     @example(case=(((READ, 0),) * 7, (1, 0, 0, 0), 0, 0, 20, False, "none",
